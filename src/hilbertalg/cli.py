@@ -235,10 +235,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except RangeError as exc:  # a malformed HILBERT_SIZE_CAP
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     args = parser.parse_args(argv)
-    if args.command == "verify" and (args.path is None) == (args.enumerate is None):
-        parser.error("verify needs exactly one of PATH or --enumerate N")
+    if args.command == "verify":
+        if (args.path is None) == (args.enumerate is None):
+            parser.error("verify needs exactly one of PATH or --enumerate N")
+        if args.nmax < 0:
+            parser.error("--nmax must be at least 0")
+        if args.enumerate is not None and args.enumerate < 1:
+            parser.error("--enumerate must be at least 1")
     return args.func(args)
 
 

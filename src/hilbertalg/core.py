@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     InvalidAlgebraError,
@@ -66,7 +66,10 @@ class Imp:
     right: "Term"
 
 
-Term = Union[Var, Imp]
+# PEP 604 rather than typing.Union: Union[...] is memoised in typing's
+# cache, which would keep Var, and through it this module's globals, alive
+# across every fresh import of the package.
+Term = Var | Imp
 
 
 def term_width(t: Term) -> int:
@@ -116,7 +119,7 @@ def _check_entries(table) -> int:
         if len(row) != n:
             raise RangeError(f"row {a} has length {len(row)}, expected {n}")
         for b, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
                 raise RangeError(f"entry [{a}][{b}] = {v!r} out of range [0,{n})")
     return n
 

@@ -27,7 +27,15 @@ ENUM_CAP_ENV = "HILBERT_SIZE_CAP"
 
 def enum_cap() -> int:
     raw = os.environ.get(ENUM_CAP_ENV)
-    return int(raw) if raw else DEFAULT_ENUM_CAP
+    if not raw:
+        return DEFAULT_ENUM_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0  # refused below, with the other values that are not positive
+    if cap < 1:
+        raise RangeError(f"{ENUM_CAP_ENV} must be a positive integer, got {raw!r}")
+    return cap
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ def parse_algebra_text(text: str) -> FiniteHilbertAlgebra:
         arrow = doc["arrow"]
     except KeyError as exc:
         raise AlgebraFileError(f"missing key {exc.args[0]!r}") from exc
-    if not isinstance(size, int) or size < 1:
+    if isinstance(size, bool) or not isinstance(size, int) or size < 1:
         raise AlgebraFileError("size must be a positive integer")
     if (
         not isinstance(arrow, list)

@@ -43,6 +43,10 @@ class TestFiles:
         with pytest.raises(AlgebraFileError):
             parse_algebra_text('{"size": 2, "arrow": [[1, 1]]}')
 
+    def test_bool_size_rejected(self):
+        with pytest.raises(AlgebraFileError):
+            parse_algebra_text('{"size": true, "arrow": [[0]]}')
+
 
 class TestCheck:
     def test_valid(self, algebra_file, capsys):
@@ -58,6 +62,20 @@ class TestCheck:
         path = tmp_path / "broken.json"
         path.write_text("{size: oops")
         assert main(["check", str(path)]) == 2
+
+    def test_bool_size(self, algebra_file, capsys):
+        assert main(["check", algebra_file({"size": True, "arrow": [[0]]})]) == 2
+        assert "size must be a positive integer" in capsys.readouterr().err
+
+    def test_bool_entries(self, algebra_file, capsys):
+        doc = {"size": 2, "arrow": [[True, True], [False, True]]}
+        assert main(["check", algebra_file(doc)]) == 1
+        assert "entry [0][0] = True" in capsys.readouterr().err
+
+    def test_malformed_size_cap(self, algebra_file, monkeypatch, capsys):
+        monkeypatch.setenv("HILBERT_SIZE_CAP", "abc")
+        assert main(["check", algebra_file(CHAIN3)]) == 2
+        assert "HILBERT_SIZE_CAP must be a positive integer" in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -118,6 +136,26 @@ class TestVerify:
             main(["verify"])
         with pytest.raises(SystemExit):
             main(["verify", algebra_file(CHAIN3), "--enumerate", "3"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--nmax", "-3", "--enumerate", "2"],
+            ["--enumerate", "0"],
+            ["--enumerate", "-1"],
+        ],
+    )
+    def test_empty_check_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
+    def test_negative_nmax_with_file(self, algebra_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", algebra_file(CHAIN3), "--nmax", "-3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestQuotient:

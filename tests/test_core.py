@@ -1,4 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import hilbertalg
 
 from hilbertalg import (
     FiniteHilbertAlgebra,
@@ -35,6 +41,12 @@ class TestValidate:
     def test_out_of_range_entry(self):
         with pytest.raises(RangeError):
             validate([[1, 3], [0, 1]])
+
+    def test_bool_entries_rejected(self):
+        # True == 1 and False == 0 in Python, so only an explicit check
+        # keeps JSON true/false out of a table
+        with pytest.raises(RangeError):
+            validate([[True, True], [False, True]])
 
     def test_ragged_row(self):
         with pytest.raises(RangeError):
@@ -162,3 +174,32 @@ def test_mask_helpers():
     assert list(iter_bits(mask)) == [0, 3, 5]
     assert mask_str(mask) == "{0,3,5}"
     assert mask_str(mask, ["a", "b", "c", "d", "e", "f"]) == "{a,d,f}"
+
+
+REIMPORT = """
+import gc, importlib, sys
+sys.path.insert(0, sys.argv[1])
+for _ in range(20):
+    for name in [m for m in sys.modules if m == "hilbertalg" or m.startswith("hilbertalg.")]:
+        del sys.modules[name]
+    importlib.import_module("hilbertalg")
+gc.collect()
+print(sum(
+    1 for o in gc.get_objects()
+    if isinstance(o, dict) and o.get("__name__") == "hilbertalg.core" and "__builtins__" in o
+))
+"""
+
+
+def test_reimport_frees_previous_modules():
+    """A fresh import of the package must not keep the previous one alive
+    (typing.Union's cache once held every import's Var class)."""
+    src = str(Path(hilbertalg.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", REIMPORT, src],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert int(out.stdout) <= 2

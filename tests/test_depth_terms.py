@@ -3,8 +3,10 @@ import pytest
 from hilbertalg import (
     ChainWitness,
     Imp,
+    Poset,
     Var,
     all_filters,
+    all_posets,
     chain_algebra,
     chain_from_counterexample,
     d_term,
@@ -12,13 +14,15 @@ from hilbertalg import (
     depth_leq_via_identity,
     enumerate_hilbert,
     eval_term,
+    heyting_from_poset,
     meet_irreducibles,
+    satisfies_identity,
     subalgebra_from_chain,
     subset_of,
     verify_main_theorem,
 )
 from hilbertalg.core import bit, generated_subuniverse, iter_bits
-from hilbertalg.errors import PreconditionError
+from hilbertalg.errors import PreconditionError, UnboundVariableError
 
 
 class TestDTerm:
@@ -56,6 +60,45 @@ class TestDepthViaIdentity:
                 for k in range(4):
                     if depth_leq_via_identity(A, k)[0]:
                         assert depth_leq_via_identity(A, k + 1)[0]
+
+
+class TestIdentityDecisionAgainstBruteForce:
+    """The value-set procedure against the |A|^(n+1) scan of satisfies_identity."""
+
+    def test_same_verdict_and_least_counterexample(self):
+        algebras = [A for size in range(1, 6) for A in enumerate_hilbert(size)]
+        algebras += [
+            heyting_from_poset(P)[1] for k in range(5) for P in all_posets(k, up_to_iso=True)
+        ]
+        algebras += [chain_algebra(m) for m in range(1, 9)]
+        for A in algebras:
+            report = verify_main_theorem(A, 4)
+            assert depth_leq_via_identity(A, -1) == satisfies_identity(A, d_term(-1))
+            for n in range(5):
+                expected = satisfies_identity(A, d_term(n))
+                assert depth_leq_via_identity(A, n) == expected, (A.arrow, n)
+                assert (report.rows[n][2], report.counterexamples.get(n)) == expected
+
+    def test_chain_31_up_to_n12(self):
+        A = chain_algebra(31)
+        report = verify_main_theorem(A, 12)
+        assert report.depth == 31
+        assert report.rows == tuple((n, False, False, True) for n in range(13))
+        for n, cex in report.counterexamples.items():
+            assert cex == tuple(range(n + 1))
+            assert eval_term(A, d_term(n), cex) != A.top
+
+    def test_antichain_reduct_up_to_n12(self):
+        antichain = Poset(size=4, leq=tuple(tuple(a == b for b in range(4)) for a in range(4)))
+        A = heyting_from_poset(antichain)[1]
+        assert A.size == 16
+        report = verify_main_theorem(A, 12)
+        assert report.depth == 1
+        assert report.rows == ((0, False, False, True),) + tuple(
+            (n, True, True, True) for n in range(1, 13)
+        )
+        assert list(report.counterexamples) == [0]
+        assert eval_term(A, d_term(0), report.counterexamples[0]) != A.top
 
 
 class TestVerifyMainTheorem:
@@ -101,6 +144,10 @@ class TestChainFromCounterexample:
     def test_precondition(self, chain3):
         with pytest.raises(PreconditionError):
             chain_from_counterexample(chain3, (2, 2), 1)
+
+    def test_short_assignment(self, chain3):
+        with pytest.raises(UnboundVariableError):
+            chain_from_counterexample(chain3, (0,), 1)
 
     def test_invariants_exhaustive(self):
         for size in range(1, 5):

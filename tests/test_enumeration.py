@@ -130,6 +130,12 @@ class TestEnumerateHilbert:
             enumerate_hilbert(4)
         assert len(enumerate_hilbert(4, cap=4)) == 6
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2"])
+    def test_malformed_cap(self, monkeypatch, raw):
+        monkeypatch.setenv("HILBERT_SIZE_CAP", raw)
+        with pytest.raises(RangeError):
+            enumerate_hilbert(3)
+
     def test_bad_size(self):
         with pytest.raises(RangeError):
             enumerate_hilbert(0)
