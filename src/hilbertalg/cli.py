@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import FiniteHilbertAlgebra, mask_str, subset_of
+from .core import mask_str, subset_of
 from .depth_terms import verify_main_theorem
 from .dot import hasse_covers, poset_dot
 from .enumeration import enum_cap, enumerate_hilbert
@@ -18,7 +18,7 @@ from .errors import (
     SizeLimitError,
 )
 from .files import dump_algebra, load_algebra
-from .filters import all_filters, depth, is_implicative_filter, meet_irreducibles
+from .filters import all_filters, is_implicative_filter, meet_irreducibles
 from .quotient import quotient
 
 EXIT_OK = 0
@@ -26,13 +26,9 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-def _load(path: str) -> FiniteHilbertAlgebra:
-    return load_algebra(path)
-
-
 def cmd_check(args) -> int:
     try:
-        A = _load(args.path)
+        A = load_algebra(args.path)
     except AlgebraFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -62,7 +58,7 @@ def _spectrum_shape(spectrum) -> str:
 
 def cmd_analyze(args) -> int:
     try:
-        A = _load(args.path)
+        A = load_algebra(args.path)
         lattice = all_filters(A)
     except HilbertError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -137,7 +133,7 @@ def cmd_verify(args) -> int:
                 f"{len(algebras)} algebras checked, {pairs} (algebra,n) pairs, all agree"
             )
             return EXIT_OK
-        A = _load(args.path)
+        A = load_algebra(args.path)
         report = verify_main_theorem(A, nmax)
     except AlgebraFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -152,7 +148,7 @@ def cmd_verify(args) -> int:
 
 def cmd_quotient(args) -> int:
     try:
-        A = _load(args.path)
+        A = load_algebra(args.path)
         elements = [
             A.element_named(tok.strip()) for tok in args.filter.split(",") if tok.strip()
         ]

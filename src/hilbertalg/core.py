@@ -8,6 +8,7 @@ generator sets hashable and makes inclusion a single `&`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations, product
 from typing import Iterator, Optional, Sequence
 
@@ -198,6 +199,14 @@ class FiniteHilbertAlgebra:
             names=names,
         )
 
+    @cached_property
+    def _filter_lattice(self):
+        """Fi(A), built on first use and kept with this instance; it is
+        not a field, so ==, hash and repr do not see it."""
+        from .filters import _build_lattice  # filters imports this module
+
+        return _build_lattice(self)
+
     def leq(self, a: int, b: int) -> bool:
         return self.arrow[a][b] == self.top
 
@@ -221,10 +230,6 @@ class FiniteHilbertAlgebra:
         if not 0 <= a < self.size:
             raise RangeError(f"element index {a} out of range [0,{self.size})")
         return a
-
-
-def leq(A: FiniteHilbertAlgebra, a: int, b: int) -> bool:
-    return A.leq(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .filters import (
     principal_filter,
     separate,
 )
-from .quotient import correspondence_check, quotient
+from .quotient import _correspondence, quotient
 
 
 def d_term(n: int) -> Term:
@@ -189,7 +189,7 @@ def _chain_rec(A, assignment, n):
         raise InternalInvariantError("d_{n-1} value landed in Fg(F_0 | {a_n})")
     q = quotient(A, F)
     sub = _chain_rec(q.algebra, tuple(q.projection[a] for a in assignment[:n]), n - 1)
-    mapping, ok = correspondence_check(A, F)
+    mapping, ok = _correspondence(A, F, q)
     if not ok:
         raise InternalInvariantError("filter correspondence failed to verify")
     inverse = {image: G for G, image in mapping.items()}

@@ -8,15 +8,11 @@ structure is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import reduce
+from operator import and_
 
 from .core import FiniteHilbertAlgebra, bit, iter_bits, subset_of
-from .errors import NotInLatticeError, PreconditionError, SizeLimitError
-
-# Beyond this size the one-word subset representation breaks down anyway;
-# exhaustive subset scanning is only used up to SUBSET_SCAN_LIMIT.
-FILTER_SIZE_CAP = 64
-SUBSET_SCAN_LIMIT = 16
+from .errors import NotInLatticeError, PreconditionError
 
 
 def is_implicative_filter(A: FiniteHilbertAlgebra, S: int) -> bool:
@@ -76,24 +72,10 @@ def fg_formula_member(A: FiniteHilbertAlgebra, X: int, a: int) -> bool:
 
 
 def fg_with_extra_member(A: FiniteHilbertAlgebra, X: int, c: int, a: int) -> bool:
-    """Membership in Fg(X | {c}) via nestings ending in c -> a."""
-    if a == A.top:
-        return True
-    start = A.arrow[c][a]
-    if start == A.top:
-        return True
-    reach = bit(start)
-    frontier = [start]
-    while frontier:
-        t = frontier.pop()
-        for b in iter_bits(X):
-            v = A.arrow[b][t]
-            if not reach >> v & 1:
-                if v == A.top:
-                    return True
-                reach |= bit(v)
-                frontier.append(v)
-    return False
+    """Membership in Fg(X | {c}), by the deduction theorem:
+    a is in Fg(X | {c}) iff c -> a is in Fg(X).  (a = 1 is covered too,
+    since c -> 1 = 1.)"""
+    return fg_formula_member(A, X, A.arrow[c][a])
 
 
 def fg_with_extra(A: FiniteHilbertAlgebra, X: int, c: int) -> int:
@@ -102,71 +84,68 @@ def fg_with_extra(A: FiniteHilbertAlgebra, X: int, c: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the lattice of all filters
+# the lattice of all filters and its spectrum
 
 
 @dataclass(frozen=True)
 class FilterLattice:
     algebra: FiniteHilbertAlgebra
     filters: tuple  # masks, sorted by (popcount, mask)
+    spectrum: tuple  # the meet-irreducible members, in the same order
 
     @property
     def maximum(self) -> int:
         return self.algebra.universe_mask()
 
-    @property
-    def bottom(self) -> int:
-        return bit(self.algebra.top)
-
     def __contains__(self, F: int) -> bool:
         return F in self.filters
-
-    def meet(self, F: int, G: int) -> int:
-        return F & G
 
     def join(self, F: int, G: int) -> int:
         return fg_closure(self.algebra, F | G)
 
 
-def all_filters(A: FiniteHilbertAlgebra, cap: int = FILTER_SIZE_CAP) -> FilterLattice:
-    """Every implicative filter of A.
+def all_filters(A: FiniteHilbertAlgebra) -> FilterLattice:
+    """Every implicative filter of A, with the spectrum.
 
-    Small universes scan all subsets containing 1 with an upset
-    pre-filter; larger ones grow the lattice by BFS over one-element
-    extensions, which is exact for any size.
+    Built once per algebra by _build_lattice and kept on the instance.
+    """
+    return A._filter_lattice
+
+
+def _build_lattice(A: FiniteHilbertAlgebra) -> FilterLattice:
+    """Fi(A) and its spectrum in one BFS over one-element extensions.
+
+    For a filter F the deduction theorem gives Fg(F | {a}) =
+    {b : a -> b in F}.  The upper covers of F are the minimal sets among
+    these extensions: if G covers F and a is in G - F, then
+    F < Fg(F | {a}) <= G.  F is meet-irreducible iff it has exactly one
+    upper cover, i.e. iff the meet of its extensions is one of them (a
+    finite family has a single minimal member iff it contains its meet).
     """
     n = A.size
-    if n > cap:
-        raise SizeLimitError(f"universe size {n} exceeds filter cap {cap}")
-    found = set()
-    if n <= SUBSET_SCAN_LIMIT:
-        up = [A.upset_mask(a) for a in range(n)]
-        top_bit = bit(A.top)
-        for rest in range(1 << n):
-            S = rest | top_bit
-            if S in found:
-                continue
-            if any(up[a] & ~S for a in iter_bits(S)):
-                continue  # not an upset, cannot be a filter
-            if is_implicative_filter(A, S):
-                found.add(S)
-    else:
-        frontier = [fg_closure(A, 0)]
-        found.add(frontier[0])
-        while frontier:
-            F = frontier.pop()
-            for a in range(n):
-                if not F >> a & 1:
-                    G = fg_closure(A, F | bit(a))
-                    if G not in found:
-                        found.add(G)
-                        frontier.append(G)
-    ordered = sorted(found, key=lambda m: (m.bit_count(), m))
-    return FilterLattice(algebra=A, filters=tuple(ordered))
-
-
-# ---------------------------------------------------------------------------
-# meet-irreducibles and the spectrum
+    arrow = A.arrow
+    bottom = bit(A.top)
+    found = {bottom}
+    frontier = [bottom]
+    irreducible = set()
+    while frontier:
+        F = frontier.pop()
+        extensions = {
+            subset_of(b for b in range(n) if F >> arrow[a][b] & 1)
+            for a in range(n)
+            if not F >> a & 1
+        }
+        if extensions and reduce(and_, extensions) in extensions:
+            irreducible.add(F)
+        for G in extensions - found:
+            found.add(G)
+            frontier.append(G)
+    key = lambda m: (m.bit_count(), m)
+    return FilterLattice(
+        algebra=A,
+        filters=tuple(sorted(found, key=key)),
+        spectrum=tuple(sorted(irreducible, key=key)),
+    )
 
 
 @dataclass(frozen=True)
@@ -196,19 +175,7 @@ class SpectrumPoset:
 
 def meet_irreducibles(L: FilterLattice) -> SpectrumPoset:
     """Filters that are neither the maximum nor a meet of two larger ones."""
-    out = []
-    for F in L.filters:
-        if F == L.maximum:
-            continue
-        strictly_above = [G for G in L.filters if G != F and G & F == F]
-        reducible = any(
-            G & H == F
-            for i, G in enumerate(strictly_above)
-            for H in strictly_above[i:]
-        )
-        if not reducible:
-            out.append(F)
-    return SpectrumPoset(algebra=L.algebra, filters=tuple(out))
+    return SpectrumPoset(algebra=L.algebra, filters=L.spectrum)
 
 
 def is_meet_prime(L: FilterLattice, F: int) -> bool:
@@ -224,19 +191,12 @@ def is_meet_prime(L: FilterLattice, F: int) -> bool:
     return True
 
 
-def depth(A: FiniteHilbertAlgebra, lattice: Optional[FilterLattice] = None) -> int:
+def depth(A: FiniteHilbertAlgebra) -> int:
     """Maximum chain size in the spectrum; 0 for the trivial algebra."""
-    if lattice is None:
-        lattice = all_filters(A)
-    return meet_irreducibles(lattice).max_chain_size()
+    return meet_irreducibles(all_filters(A)).max_chain_size()
 
 
-def separate(
-    A: FiniteHilbertAlgebra,
-    F: int,
-    a: int,
-    lattice: Optional[FilterLattice] = None,
-) -> int:
+def separate(A: FiniteHilbertAlgebra, F: int, a: int) -> int:
     """A meet-irreducible G with F <= G and a not in G.
 
     Deterministic: the inclusion-maximal candidate, ties broken by least
@@ -245,9 +205,7 @@ def separate(
     """
     if F >> a & 1:
         raise PreconditionError(f"element {a} already in the filter")
-    if lattice is None:
-        lattice = all_filters(A)
-    spectrum = meet_irreducibles(lattice)
+    spectrum = meet_irreducibles(all_filters(A))
     candidates = [G for G in spectrum.filters if G & F == F and not G >> a & 1]
     if not candidates:
         raise PreconditionError("no separating meet-irreducible (input not a filter?)")

@@ -6,8 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .core import FiniteHilbertAlgebra, bit, iter_bits, validate
-from .errors import InternalInvariantError, NotAFilterError
+from .core import FiniteHilbertAlgebra, bit, iter_bits
+from .errors import InternalInvariantError, InvalidAlgebraError, NotAFilterError
 from .filters import all_filters, is_implicative_filter
 
 
@@ -34,6 +34,7 @@ def theta(A: FiniteHilbertAlgebra, F: int) -> Congruence:
     ]
     class_of = [-1] * n
     blocks = []
+    reps = []  # the element that opened each block, its least member
     for a in range(n):
         if class_of[a] >= 0:
             continue
@@ -42,11 +43,12 @@ def theta(A: FiniteHilbertAlgebra, F: int) -> Congruence:
         for b in members:
             class_of[b] = idx
         blocks.append(sum(bit(b) for b in members))
-    _assert_congruence(A, related, class_of)
+        reps.append(a)
+    _assert_congruence(A, related, class_of, reps)
     return Congruence(blocks=tuple(blocks), class_of=tuple(class_of))
 
 
-def _assert_congruence(A, related, class_of):
+def _assert_congruence(A, related, class_of, reps):
     n = A.size
     for a in range(n):
         if not related[a][a]:
@@ -56,16 +58,18 @@ def _assert_congruence(A, related, class_of):
                 raise InternalInvariantError("theta_F is not symmetric")
             if related[a][b] and class_of[a] != class_of[b]:
                 raise InternalInvariantError("theta_F is not transitive")
+    # Compatibility: a ~ a2 and b ~ b2 imply class(a->b) == class(a2->b2).
+    # It suffices to check class(a->b) == class(rep(a)->rep(b)) for all a, b,
+    # where rep(a) = reps[class(a)].  That is the case a2 = rep(a),
+    # b2 = rep(b) of the full check, since rep(a) ~ a.  Conversely, it gives
+    # the full check: class_of is a function, so a ~ a2 means
+    # rep(a) = rep(a2), and both sides equal class(rep(a)->rep(b)).
+    rep = [reps[c] for c in class_of]
     for a in range(n):
-        for a2 in range(n):
-            if class_of[a] != class_of[a2]:
-                continue
-            for b in range(n):
-                for b2 in range(n):
-                    if class_of[b] == class_of[b2] and class_of[
-                        A.arrow[a][b]
-                    ] != class_of[A.arrow[a2][b2]]:
-                        raise InternalInvariantError("theta_F not arrow-compatible")
+        row, rep_row = A.arrow[a], A.arrow[rep[a]]
+        for b in range(n):
+            if class_of[row[b]] != class_of[rep_row[rep[b]]]:
+                raise InternalInvariantError("theta_F not arrow-compatible")
 
 
 def quotient(A: FiniteHilbertAlgebra, F: int) -> QuotientResult:
@@ -77,16 +81,16 @@ def quotient(A: FiniteHilbertAlgebra, F: int) -> QuotientResult:
     table = [
         [cong.class_of[A.arrow[reps[i]][reps[j]]] for j in range(k)] for i in range(k)
     ]
-    report = validate(table)
-    if not report.ok:
-        raise InternalInvariantError(f"quotient failed validation: {report.summary()}")
     names = None
     if A.names is not None:
         names = [A.names[r] for r in reps]
-    return QuotientResult(
-        algebra=FiniteHilbertAlgebra.from_table(table, names=names),
-        projection=cong.class_of,
-    )
+    try:
+        algebra = FiniteHilbertAlgebra.from_table(table, names=names)
+    except InvalidAlgebraError as exc:
+        raise InternalInvariantError(
+            f"quotient failed validation: {exc.report.summary()}"
+        ) from exc
+    return QuotientResult(algebra=algebra, projection=cong.class_of)
 
 
 def correspondence_check(
@@ -97,7 +101,13 @@ def correspondence_check(
     Returns (mapping, verdict): verdict is True iff h is a bijection onto
     Fi(A/F) that preserves and reflects inclusion.  False signals a bug.
     """
-    q = quotient(A, F)
+    return _correspondence(A, F, quotient(A, F))
+
+
+def _correspondence(
+    A: FiniteHilbertAlgebra, F: int, q: QuotientResult
+) -> Tuple[Dict[int, int], bool]:
+    """correspondence_check for an already built q = quotient(A, F)."""
     proj = q.projection
     above = [G for G in all_filters(A).filters if G & F == F]
     mapping = {}
@@ -119,7 +129,3 @@ def correspondence_check(
     )
     return mapping, ok
 
-
-def pull_back(A: FiniteHilbertAlgebra, q: QuotientResult, H: int) -> int:
-    """Preimage of a quotient filter under the projection, as a filter of A."""
-    return sum(bit(a) for a in range(A.size) if H >> q.projection[a] & 1)

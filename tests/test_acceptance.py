@@ -115,7 +115,7 @@ def test_separation(algebras):
                 for a in range(A.size):
                     if F >> a & 1:
                         continue
-                    G = separate(A, F, a, lattice=L)
+                    G = separate(A, F, a)
                     assert G in spectrum and G & F == F and not G >> a & 1
             for a in range(A.size):
                 for b in range(A.size):

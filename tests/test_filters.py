@@ -1,7 +1,9 @@
 import pytest
 
 from hilbertalg import (
+    FiniteHilbertAlgebra,
     all_filters,
+    all_posets,
     chain_algebra,
     depth,
     enumerate_hilbert,
@@ -9,6 +11,7 @@ from hilbertalg import (
     fg_formula_member,
     fg_with_extra,
     fg_with_extra_member,
+    heyting_from_poset,
     is_implicative_filter,
     is_meet_prime,
     meet_irreducibles,
@@ -17,6 +20,32 @@ from hilbertalg import (
 )
 from hilbertalg.errors import NotInLatticeError, PreconditionError, SizeLimitError
 from hilbertalg.filters import principal_filter
+
+
+@pytest.fixture(scope="module")
+def oracle_set():
+    """Every algebra with <=5 elements and the reducts of posets with <=4 points."""
+    algebras = [A for n in range(1, 6) for A in enumerate_hilbert(n)]
+    for k in range(5):
+        algebras += [heyting_from_poset(P)[1] for P in all_posets(k, up_to_iso=True)]
+    return algebras
+
+
+def by_size(masks):
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
+
+
+def pairwise_meet_spectrum(L):
+    """The spectrum by definition: filters below the maximum that are not
+    the meet of two strictly larger filters."""
+    out = []
+    for F in L.filters:
+        if F == L.maximum:
+            continue
+        above = [G for G in L.filters if G != F and G & F == F]
+        if not any(G & H == F for i, G in enumerate(above) for H in above[i:]):
+            out.append(F)
+    return tuple(out)
 
 
 class TestIsImplicativeFilter:
@@ -111,18 +140,10 @@ class TestAllFilters:
         }
         assert set(L.filters) == expected
 
-    def test_bfs_agrees_with_subset_scan(self, fork, chain3):
-        from hilbertalg import filters as fl
-
-        for A in (fork, chain3, chain_algebra(4)):
-            scan = set(all_filters(A).filters)
-            old = fl.SUBSET_SCAN_LIMIT
-            fl.SUBSET_SCAN_LIMIT = 0
-            try:
-                bfs = set(all_filters(A).filters)
-            finally:
-                fl.SUBSET_SCAN_LIMIT = old
-            assert scan == bfs
+    def test_bfs_agrees_with_subset_scan(self, oracle_set):
+        for A in oracle_set:
+            scan = (S for S in range(1 << A.size) if is_implicative_filter(A, S))
+            assert all_filters(A).filters == by_size(scan), A.arrow
 
     def test_every_filter_is_an_upset(self, fork, chain3):
         for A in (fork, chain3):
@@ -131,9 +152,18 @@ class TestAllFilters:
                     if F >> a & 1:
                         assert principal_filter(A, a) & ~F == 0
 
-    def test_size_cap(self, fork):
+    def test_size_cap(self):
+        # all_filters has no cap of its own: one-word masks bound the algebra
         with pytest.raises(SizeLimitError):
-            all_filters(fork, cap=2)
+            FiniteHilbertAlgebra.from_table([[0] * 65 for _ in range(65)])
+
+    def test_built_once_per_algebra(self, fork):
+        twin = FiniteHilbertAlgebra.from_table([list(row) for row in fork.arrow])
+        before = (hash(fork), repr(fork))
+        L = all_filters(fork)
+        assert all_filters(fork) is L
+        assert fork == twin and (hash(fork), repr(fork)) == before
+        assert (hash(twin), repr(twin)) == before
 
 
 class TestSpectrum:
@@ -147,6 +177,11 @@ class TestSpectrum:
     def test_fork_excludes_bottom(self, fork):
         spec = meet_irreducibles(all_filters(fork))
         assert set(spec.filters) == {subset_of([0, 2]), subset_of([1, 2])}
+
+    def test_agrees_with_pairwise_meets(self, oracle_set):
+        for A in oracle_set + [chain_algebra(16)]:
+            L = all_filters(A)
+            assert meet_irreducibles(L).filters == pairwise_meet_spectrum(L), A.arrow
 
     def test_meet_prime_examples(self, fork, a2):
         L = all_filters(fork)
@@ -209,7 +244,7 @@ class TestSeparate:
                 for F in L.filters:
                     for a in range(A.size):
                         if not F >> a & 1:
-                            G = separate(A, F, a, lattice=L)
+                            G = separate(A, F, a)
                             assert G in spec
                             assert G & F == F
                             assert not G >> a & 1
