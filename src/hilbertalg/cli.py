@@ -15,7 +15,6 @@ from .errors import (
     InvalidAlgebraError,
     NotAFilterError,
     RangeError,
-    SizeLimitError,
 )
 from .files import dump_algebra, load_algebra
 from .filters import all_filters, is_implicative_filter, meet_irreducibles
@@ -29,14 +28,8 @@ EXIT_USAGE = 2
 def cmd_check(args) -> int:
     try:
         A = load_algebra(args.path)
-    except AlgebraFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InvalidAlgebraError as exc:
         print(exc.report.summary())
-        return EXIT_DOMAIN
-    except (RangeError, SizeLimitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     print(f"valid Hilbert algebra, size {A.size}")
     return EXIT_OK
@@ -57,12 +50,8 @@ def _spectrum_shape(spectrum) -> str:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        A = load_algebra(args.path)
-        lattice = all_filters(A)
-    except HilbertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, AlgebraFileError) else EXIT_DOMAIN
+    A = load_algebra(args.path)
+    lattice = all_filters(A)
     spectrum = meet_irreducibles(lattice)
     d = spectrum.max_chain_size()
     k = len(lattice.filters)
@@ -112,69 +101,49 @@ def _print_report(A, report) -> None:
 
 def cmd_verify(args) -> int:
     nmax = args.nmax
-    try:
-        if args.enumerate is not None:
-            algebras = []
-            for size in range(1, args.enumerate + 1):
-                algebras.extend(enumerate_hilbert(size))
-            pairs = 0
-            bad = 0
-            for A in algebras:
-                report = verify_main_theorem(A, nmax)
-                pairs += len(report.rows)
-                if not report.all_agree:
-                    bad += 1
-                    print(f"disagreement on table {A.arrow}:")
-                    _print_report(A, report)
-            if bad:
-                print(f"{len(algebras)} algebras checked, {bad} disagree")
-                return EXIT_DOMAIN
-            print(
-                f"{len(algebras)} algebras checked, {pairs} (algebra,n) pairs, all agree"
-            )
-            return EXIT_OK
-        A = load_algebra(args.path)
-        report = verify_main_theorem(A, nmax)
-    except AlgebraFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except HilbertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    if args.enumerate is not None:
+        algebras = []
+        for size in range(1, args.enumerate + 1):
+            algebras.extend(enumerate_hilbert(size))
+        pairs = 0
+        bad = 0
+        for A in algebras:
+            report = verify_main_theorem(A, nmax)
+            pairs += len(report.rows)
+            if not report.all_agree:
+                bad += 1
+                print(f"disagreement on table {A.arrow}:")
+                _print_report(A, report)
+        if bad:
+            print(f"{len(algebras)} algebras checked, {bad} disagree")
+            return EXIT_DOMAIN
+        print(f"{len(algebras)} algebras checked, {pairs} (algebra,n) pairs, all agree")
+        return EXIT_OK
+    A = load_algebra(args.path)
+    report = verify_main_theorem(A, nmax)
     print(f"depth {report.depth}")
     _print_report(A, report)
     return EXIT_OK if report.all_agree else EXIT_DOMAIN
 
 
 def cmd_quotient(args) -> int:
-    try:
-        A = load_algebra(args.path)
-        elements = [
-            A.element_named(tok.strip()) for tok in args.filter.split(",") if tok.strip()
-        ]
-        F = subset_of(elements)
-        if not is_implicative_filter(A, F):
-            raise NotAFilterError(
-                f"{mask_str(F, A.names)} is not an implicative filter "
-                "(must contain 1 and be closed under modus ponens)"
-            )
-        result = quotient(A, F)
-    except AlgebraFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except HilbertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    A = load_algebra(args.path)
+    elements = [
+        A.element_named(tok.strip()) for tok in args.filter.split(",") if tok.strip()
+    ]
+    F = subset_of(elements)
+    if not is_implicative_filter(A, F):
+        raise NotAFilterError(
+            f"{mask_str(F, A.names)} is not an implicative filter "
+            "(must contain 1 and be closed under modus ponens)"
+        )
+    result = quotient(A, F)
     print(dump_algebra(result.algebra))
     return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
-    try:
-        algebras = enumerate_hilbert(args.size)
-    except HilbertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    algebras = enumerate_hilbert(args.size)
     for A in algebras:
         print(dump_algebra(A))
     print(f"{len(algebras)} algebras of size {args.size}", file=sys.stderr)
@@ -244,7 +213,14 @@ def main(argv=None) -> int:
             parser.error("--nmax must be at least 0")
         if args.enumerate is not None and args.enumerate < 1:
             parser.error("--enumerate must be at least 1")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except AlgebraFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (HilbertError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

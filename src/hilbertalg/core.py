@@ -80,12 +80,6 @@ def term_width(t: Term) -> int:
     return max(term_width(t.left), term_width(t.right))
 
 
-def term_str(t: Term) -> str:
-    if isinstance(t, Var):
-        return f"x{t.index}"
-    return f"({term_str(t.left)} -> {term_str(t.right)})"
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -216,9 +210,6 @@ class FiniteHilbertAlgebra:
     def upset_mask(self, a: int) -> int:
         """Principal upset of a, as a mask."""
         return subset_of(b for b in range(self.size) if self.leq(a, b))
-
-    def name_of(self, a: int) -> str:
-        return self.names[a] if self.names is not None else str(a)
 
     def element_named(self, label: str) -> int:
         if self.names is not None and label in self.names:

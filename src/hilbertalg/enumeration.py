@@ -72,45 +72,59 @@ class Poset:
         return max(best, default=0)
 
 
-def _relation_matrices(k: int) -> Iterator[tuple]:
-    """All reflexive antisymmetric relations on k elements, as bool matrices."""
+def _closed_masks(principal) -> List[int]:
+    """Masks m, ascending, with principal[x] inside m for every x in m."""
+    return [
+        mask
+        for mask in range(1 << len(principal))
+        if all(principal[x] & ~mask == 0 for x in iter_bits(mask))
+    ]
+
+
+def _natural_orders(k: int) -> Iterator[tuple]:
+    """Orders on 0..k-1 in which a below b implies a < b, as the tuple of
+    principal down-set masks.  Each is an order on 0..k-2 with the new
+    maximal point k-1 placed above one of its down-sets."""
+    if k == 0:
+        yield ()
+        return
+    for down in _natural_orders(k - 1):
+        for below in _closed_masks(down):
+            yield down + (below | bit(k - 1),)
+
+
+def all_posets(k: int, up_to_iso: bool = False) -> List[Poset]:
+    """All posets on k labeled elements (or one per isomorphism class).
+
+    A poset's code lists, for each pair a < b in lexicographic order, 0 if
+    a and b are incomparable, 1 if a is below b and 2 if b is below a.
+    Every poset is a relabelling of a natural order, so relabelling those
+    reaches every code.  Posets come in ascending code order, and a class
+    is represented by its least code.
+    """
     pairs = list(combinations(range(k), 2))
-    for states in product(range(3), repeat=len(pairs)):
+    codes = set()
+    for down in _natural_orders(k):
+        rel = [
+            [1 if down[y] >> x & 1 else 2 if down[x] >> y & 1 else 0 for y in range(k)]
+            for x in range(k)
+        ]
+        relabelled = (
+            tuple(rel[q[a]][q[b]] for a, b in pairs) for q in permutations(range(k))
+        )
+        if up_to_iso:
+            codes.add(min(relabelled))
+        else:
+            codes.update(relabelled)
+    out = []
+    for code in sorted(codes):
         m = [[a == b for b in range(k)] for a in range(k)]
-        for (a, b), s in zip(pairs, states):
+        for (a, b), s in zip(pairs, code):
             if s == 1:
                 m[a][b] = True
             elif s == 2:
                 m[b][a] = True
-        yield tuple(tuple(row) for row in m)
-
-
-def _transitive(m, k) -> bool:
-    for a in range(k):
-        for b in range(k):
-            if m[a][b]:
-                for c in range(k):
-                    if m[b][c] and not m[a][c]:
-                        return False
-    return True
-
-
-def all_posets(k: int, up_to_iso: bool = False) -> List[Poset]:
-    """All posets on k labeled elements (or one per isomorphism class)."""
-    out = []
-    seen = set()
-    for m in _relation_matrices(k):
-        if not _transitive(m, k):
-            continue
-        if up_to_iso:
-            canon = min(
-                tuple(m[p[a]][p[b]] for a in range(k) for b in range(k))
-                for p in permutations(range(k))
-            )
-            if canon in seen:
-                continue
-            seen.add(canon)
-        out.append(Poset(size=k, leq=m))
+        out.append(Poset(size=k, leq=tuple(tuple(row) for row in m)))
     return out
 
 
@@ -140,12 +154,7 @@ class HeytingAlgebra:
 
 
 def upsets(P: Poset) -> List[int]:
-    ups = [P.upset_mask(x) for x in range(P.size)]
-    out = []
-    for mask in range(1 << P.size):
-        if all(ups[x] & ~mask == 0 for x in iter_bits(mask)):
-            out.append(mask)
-    return out
+    return _closed_masks([P.upset_mask(x) for x in range(P.size)])
 
 
 def heyting_from_poset(P: Poset) -> Tuple[HeytingAlgebra, FiniteHilbertAlgebra]:
@@ -187,13 +196,8 @@ def reduct_depth_vs_poset(P: Poset) -> Tuple[int, int, bool]:
 
 def _orders_with_top(n: int) -> Iterator[tuple]:
     """Partial orders on 0..n-1 where n-1 is the maximum."""
-    k = n - 1
-    for m in _relation_matrices(k):
-        if not _transitive(m, k):
-            continue
-        full = [list(row) + [True] for row in m]
-        full.append([False] * k + [True])
-        yield tuple(tuple(row) for row in full)
+    for P in all_posets(n - 1):
+        yield tuple(row + (True,) for row in P.leq) + ((False,) * (n - 1) + (True,),)
 
 
 def _fill_tables(n: int, order) -> Iterator[list]:

@@ -41,7 +41,11 @@ def parse_algebra_text(text: str) -> FiniteHilbertAlgebra:
 
 def load_algebra(path: str) -> FiniteHilbertAlgebra:
     with open(path, encoding="utf-8") as fh:
-        return parse_algebra_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise AlgebraFileError(f"file is not UTF-8 text ({exc.reason})") from exc
+    return parse_algebra_text(text)
 
 
 def dump_algebra(A: FiniteHilbertAlgebra) -> str:

@@ -24,6 +24,32 @@ def algebra_file(tmp_path):
     return write
 
 
+def assert_error(capsys, code, expected):
+    out = capsys.readouterr()
+    assert code == expected
+    assert out.err.startswith("error: ")
+    assert "Traceback" not in out.out + out.err
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize(
+        "argv", [["analyze"], ["verify"], ["quotient", "--filter", "1"], ["check"]]
+    )
+    def test_missing_file(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "missing.json")
+        assert_error(capsys, main([argv[0], missing, *argv[1:]]), 1)
+
+    def test_dot_into_missing_directory(self, algebra_file, tmp_path, capsys):
+        out_prefix = str(tmp_path / "no" / "such" / "dir")
+        assert_error(capsys, main(["analyze", algebra_file(FORK), "--dot", out_prefix]), 1)
+
+    @pytest.mark.parametrize("command", ["check", "analyze"])
+    def test_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert_error(capsys, main([command, str(path)]), 2)
+
+
 class TestFiles:
     def test_round_trip(self, chain3):
         again = parse_algebra_text(dump_algebra(chain3))

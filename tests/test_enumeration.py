@@ -84,6 +84,39 @@ def dfs_classes(n):
     return classes
 
 
+def scanned_posets(k, up_to_iso):
+    """Oracle: scan all 3^C(k,2) reflexive antisymmetric relations in
+    product order, keep the transitive ones, and with up_to_iso keep the
+    first one met in each isomorphism class."""
+    pairs = list(itertools.combinations(range(k), 2))
+    out = []
+    seen = set()
+    for states in itertools.product(range(3), repeat=len(pairs)):
+        m = [[a == b for b in range(k)] for a in range(k)]
+        for (a, b), s in zip(pairs, states):
+            if s == 1:
+                m[a][b] = True
+            elif s == 2:
+                m[b][a] = True
+        if any(
+            m[a][b] and m[b][c] and not m[a][c]
+            for a in range(k)
+            for b in range(k)
+            for c in range(k)
+        ):
+            continue
+        if up_to_iso:
+            canon = min(
+                tuple(m[p[a]][p[b]] for a in range(k) for b in range(k))
+                for p in itertools.permutations(range(k))
+            )
+            if canon in seen:
+                continue
+            seen.add(canon)
+        out.append(Poset(size=k, leq=tuple(tuple(row) for row in m)))
+    return out
+
+
 class TestEnumerateHilbert:
     def test_small_counts(self):
         assert len(enumerate_hilbert(1)) == 1
@@ -143,14 +176,21 @@ class TestEnumerateHilbert:
 
 class TestPosets:
     def test_counts(self):
-        assert [len(all_posets(k)) for k in range(5)] == [1, 1, 3, 19, 219]
-        assert [len(all_posets(k, up_to_iso=True)) for k in range(5)] == [
+        assert [len(all_posets(k)) for k in range(6)] == [1, 1, 3, 19, 219, 4231]
+        assert [len(all_posets(k, up_to_iso=True)) for k in range(6)] == [
             1,
             1,
             2,
             5,
             16,
+            63,
         ]
+
+    @pytest.mark.parametrize(
+        "k, up_to_iso", [(k, iso) for k in range(5) for iso in (False, True)] + [(5, False)]
+    )
+    def test_same_as_relation_scan(self, k, up_to_iso):
+        assert all_posets(k, up_to_iso) == scanned_posets(k, up_to_iso)
 
     def test_longest_chain(self):
         two_chain = Poset(2, ((True, True), (False, True)))
