@@ -52,7 +52,7 @@ def _spectrum_shape(spectrum) -> str:
 def cmd_analyze(args) -> int:
     A = load_algebra(args.path)
     lattice = all_filters(A)
-    spectrum = meet_irreducibles(lattice)
+    spectrum = meet_irreducibles(A)
     d = spectrum.max_chain_size()
     k = len(lattice.filters)
     m = len(spectrum.filters)

@@ -7,6 +7,7 @@ generator sets hashable and makes inclusion a single `&`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
@@ -201,6 +202,14 @@ class FiniteHilbertAlgebra:
 
         return _build_lattice(self)
 
+    @cached_property
+    def _spectrum(self):
+        """Spec(A), built on first use and kept like _filter_lattice; it
+        is read off the table and never builds the lattice."""
+        from .filters import _build_spectrum
+
+        return _build_spectrum(self)
+
     def leq(self, a: int, b: int) -> bool:
         return self.arrow[a][b] == self.top
 
@@ -237,15 +246,40 @@ def eval_term(A: FiniteHilbertAlgebra, t: Term, assignment: Sequence[int]) -> in
     return A.arrow[eval_term(A, t.left, assignment)][eval_term(A, t.right, assignment)]
 
 
+def _term_source(t: Term) -> str:
+    """Source of `term(x0, ..., x{k-1})`, which evaluates t over a table
+    named `arrow`.
+
+    Each Imp node becomes one assignment `tJ = arrow[l][r]`, so the body
+    does not nest however deep t is.  Only integers are spliced in: the
+    variable indices and the node counter.
+    """
+    lines = []
+
+    def emit(u) -> str:
+        if isinstance(u, Var):
+            return f"x{operator.index(u.index)}"
+        left, right = emit(u.left), emit(u.right)
+        lines.append(f"    t{len(lines)} = arrow[{left}][{right}]")
+        return f"t{len(lines) - 1}"
+
+    result = emit(t)
+    params = ", ".join(f"x{i}" for i in range(term_width(t)))
+    return "\n".join([f"def term({params}):", *lines, f"    return {result}"])
+
+
 def satisfies_identity(A: FiniteHilbertAlgebra, t: Term):
     """Does t evaluate to 1 under every assignment?
 
     Returns (True, None) or (False, v) where v is the lexicographically
-    least failing assignment.
+    least failing assignment.  The term is compiled once per call, then
+    evaluated on every assignment in turn.
     """
-    k = term_width(t)
-    for v in product(range(A.size), repeat=k):
-        if eval_term(A, t, v) != A.top:
+    namespace = {"__builtins__": {}, "arrow": A.arrow}
+    exec(_term_source(t), namespace)
+    term = namespace["term"]
+    for v in product(range(A.size), repeat=term_width(t)):
+        if term(*v) != A.top:
             return False, v
     return True, None
 

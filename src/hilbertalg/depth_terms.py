@@ -25,14 +25,7 @@ from .core import (
     subset_of,
 )
 from .errors import InternalInvariantError, PreconditionError, UnboundVariableError
-from .filters import (
-    all_filters,
-    depth,
-    fg_closure,
-    meet_irreducibles,
-    principal_filter,
-    separate,
-)
+from .filters import depth, fg_closure, meet_irreducibles, principal_filter, separate
 from .quotient import _correspondence, quotient
 
 
@@ -197,7 +190,7 @@ def _chain_rec(A, assignment, n):
 
 
 def _check_chain(witness: ChainWitness) -> None:
-    spectrum = meet_irreducibles(all_filters(witness.algebra))
+    spectrum = meet_irreducibles(witness.algebra)
     fs = witness.filters
     for F in fs:
         if F not in spectrum:
@@ -232,7 +225,7 @@ def subalgebra_from_chain(
     fs = chain.filters
     if not fs:
         raise PreconditionError("empty filter chain")
-    spectrum = meet_irreducibles(all_filters(A))
+    spectrum = meet_irreducibles(A)
     for F in fs:
         if F not in spectrum:
             raise PreconditionError("chain member is not in the spectrum")

@@ -32,10 +32,6 @@ class NotAFilterError(HilbertError):
     """A subset passed where an implicative filter is required."""
 
 
-class NotInLatticeError(HilbertError):
-    """A filter that is not a member of the given lattice."""
-
-
 class PreconditionError(HilbertError):
     """A documented precondition of an operation was violated."""
 

@@ -1,18 +1,16 @@
 """Implicative filters: membership, generation, the full lattice, spectrum, depth.
 
 Filters are bit masks over the algebra's universe (see core).  The
-lattice keeps its members sorted by (popcount, mask) so every derived
-structure is deterministic.
+lattice and the spectrum keep their members sorted by (popcount, mask)
+so every derived structure is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_
 
 from .core import FiniteHilbertAlgebra, bit, iter_bits, subset_of
-from .errors import NotInLatticeError, PreconditionError
+from .errors import PreconditionError
 
 
 def is_implicative_filter(A: FiniteHilbertAlgebra, S: int) -> bool:
@@ -48,104 +46,80 @@ def principal_filter(A: FiniteHilbertAlgebra, a: int) -> int:
     return A.upset_mask(a)
 
 
-def fg_formula_member(A: FiniteHilbertAlgebra, X: int, a: int) -> bool:
-    """Membership in Fg(X) via nested implications.
-
-    a is in Fg(X) iff a = 1 or b_1 -> (... (b_k -> a)...) = 1 for some
-    b_i in X.  Rather than enumerating nesting sequences, close {a}
-    under t |-> b -> t for b in X and ask whether 1 shows up.
-    """
-    if a == A.top:
-        return True
-    reach = bit(a)
-    frontier = [a]
-    while frontier:
-        t = frontier.pop()
-        for b in iter_bits(X):
-            v = A.arrow[b][t]
-            if not reach >> v & 1:
-                if v == A.top:
-                    return True
-                reach |= bit(v)
-                frontier.append(v)
-    return False
-
-
-def fg_with_extra_member(A: FiniteHilbertAlgebra, X: int, c: int, a: int) -> bool:
-    """Membership in Fg(X | {c}), by the deduction theorem:
-    a is in Fg(X | {c}) iff c -> a is in Fg(X).  (a = 1 is covered too,
-    since c -> 1 = 1.)"""
-    return fg_formula_member(A, X, A.arrow[c][a])
-
-
-def fg_with_extra(A: FiniteHilbertAlgebra, X: int, c: int) -> int:
-    """Fg(X | {c}); fg_with_extra_member is the matching formula oracle."""
-    return fg_closure(A, X | bit(c))
+def _by_size(masks) -> tuple:
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
 
 
 # ---------------------------------------------------------------------------
-# the lattice of all filters and its spectrum
+# the lattice of all filters
 
 
 @dataclass(frozen=True)
 class FilterLattice:
     algebra: FiniteHilbertAlgebra
     filters: tuple  # masks, sorted by (popcount, mask)
-    spectrum: tuple  # the meet-irreducible members, in the same order
-
-    @property
-    def maximum(self) -> int:
-        return self.algebra.universe_mask()
-
-    def __contains__(self, F: int) -> bool:
-        return F in self.filters
-
-    def join(self, F: int, G: int) -> int:
-        return fg_closure(self.algebra, F | G)
 
 
 def all_filters(A: FiniteHilbertAlgebra) -> FilterLattice:
-    """Every implicative filter of A, with the spectrum.
+    """Every implicative filter of A.
 
     Built once per algebra by _build_lattice and kept on the instance.
+    It can have 2^(|A|-1) members, so only callers that need the whole
+    lattice use it; the spectrum has its own, polynomial, construction.
     """
     return A._filter_lattice
 
 
 def _build_lattice(A: FiniteHilbertAlgebra) -> FilterLattice:
-    """Fi(A) and its spectrum in one BFS over one-element extensions.
+    """Fi(A) in one BFS over one-element extensions.
 
     For a filter F the deduction theorem gives Fg(F | {a}) =
-    {b : a -> b in F}.  The upper covers of F are the minimal sets among
-    these extensions: if G covers F and a is in G - F, then
-    F < Fg(F | {a}) <= G.  F is meet-irreducible iff it has exactly one
-    upper cover, i.e. iff the meet of its extensions is one of them (a
-    finite family has a single minimal member iff it contains its meet).
+    {b : a -> b in F}, and every filter other than {1} is reached from a
+    smaller one this way.
     """
     n = A.size
     arrow = A.arrow
     bottom = bit(A.top)
     found = {bottom}
     frontier = [bottom]
-    irreducible = set()
     while frontier:
         F = frontier.pop()
-        extensions = {
-            subset_of(b for b in range(n) if F >> arrow[a][b] & 1)
-            for a in range(n)
-            if not F >> a & 1
-        }
-        if extensions and reduce(and_, extensions) in extensions:
-            irreducible.add(F)
-        for G in extensions - found:
-            found.add(G)
-            frontier.append(G)
-    key = lambda m: (m.bit_count(), m)
-    return FilterLattice(
-        algebra=A,
-        filters=tuple(sorted(found, key=key)),
-        spectrum=tuple(sorted(irreducible, key=key)),
-    )
+        for a in range(n):
+            if F >> a & 1:
+                continue
+            G = subset_of(b for b in range(n) if F >> arrow[a][b] & 1)
+            if G not in found:
+                found.add(G)
+                frontier.append(G)
+    return FilterLattice(algebra=A, filters=_by_size(found))
+
+
+# ---------------------------------------------------------------------------
+# the spectrum
+
+
+def _build_spectrum(A: FiniteHilbertAlgebra) -> tuple:
+    """The meet-irreducible filters, read off the arrow table.
+
+    By Diego's description, Spec(A) is the set of A - down(a) for a != 1
+    that are filters, where down(a) = {x : x -> a = 1}.  A - down(a) is an
+    upset containing 1, and it is closed under modus ponens iff x -> a = a
+    for every x outside down(a): take y = a for necessity; for
+    sufficiency, y <= a gives x -> y <= x -> a = a.  So a != 1 contributes
+    iff column a holds only a and 1.  O(|A|^2) in all.
+    """
+    n = A.size
+    top = A.top
+    universe = A.universe_mask()
+    spectrum = []
+    for a in range(n):
+        if a == top:
+            continue
+        column = [A.arrow[x][a] for x in range(n)]
+        if all(v == a or v == top for v in column):
+            down = subset_of(x for x in range(n) if column[x] == top)
+            spectrum.append(universe & ~down)
+    return _by_size(spectrum)
 
 
 @dataclass(frozen=True)
@@ -173,27 +147,17 @@ class SpectrumPoset:
         return max(best.values(), default=0)
 
 
-def meet_irreducibles(L: FilterLattice) -> SpectrumPoset:
-    """Filters that are neither the maximum nor a meet of two larger ones."""
-    return SpectrumPoset(algebra=L.algebra, filters=L.spectrum)
+def meet_irreducibles(A: FiniteHilbertAlgebra) -> SpectrumPoset:
+    """Filters that are neither the maximum nor a meet of two larger ones.
 
-
-def is_meet_prime(L: FilterLattice, F: int) -> bool:
-    """F < maximum and G & H <= F forces G <= F or H <= F."""
-    if F not in L.filters:
-        raise NotInLatticeError(f"mask {F:#x} is not a filter of this algebra")
-    if F == L.maximum:
-        return False
-    for G in L.filters:
-        for H in L.filters:
-            if (G & H) & ~F == 0 and G & ~F and H & ~F:
-                return False
-    return True
+    Built once per algebra by _build_spectrum and kept on the instance.
+    """
+    return SpectrumPoset(algebra=A, filters=A._spectrum)
 
 
 def depth(A: FiniteHilbertAlgebra) -> int:
     """Maximum chain size in the spectrum; 0 for the trivial algebra."""
-    return meet_irreducibles(all_filters(A)).max_chain_size()
+    return meet_irreducibles(A).max_chain_size()
 
 
 def separate(A: FiniteHilbertAlgebra, F: int, a: int) -> int:
@@ -205,7 +169,7 @@ def separate(A: FiniteHilbertAlgebra, F: int, a: int) -> int:
     """
     if F >> a & 1:
         raise PreconditionError(f"element {a} already in the filter")
-    spectrum = meet_irreducibles(all_filters(A))
+    spectrum = meet_irreducibles(A)
     candidates = [G for G in spectrum.filters if G & F == F and not G >> a & 1]
     if not candidates:
         raise PreconditionError("no separating meet-irreducible (input not a filter?)")

@@ -1,0 +1,111 @@
+"""Slow reference implementations that the tests compare the library
+against, and the fan algebras.  Nothing in `src` calls these."""
+
+from functools import reduce
+from itertools import product
+from operator import and_
+
+from hilbertalg import FiniteHilbertAlgebra, all_filters, eval_term, fg_closure
+from hilbertalg.core import bit, iter_bits, subset_of, term_width
+
+
+def fan(m: int) -> FiniteHilbertAlgebra:
+    """A top m plus m pairwise incomparable coatoms 0..m-1, with
+    c_i -> c_j = c_j for i != j.  Every subset containing the top is a
+    filter, so Fi(fan(m)) has 2^m members while the spectrum has m."""
+    top = m
+    table = [[top if i == j or j == top else j for j in range(m + 1)] for i in range(m + 1)]
+    return FiniteHilbertAlgebra.from_table(table)
+
+
+# ---------------------------------------------------------------------------
+# filter generation
+
+
+def fg_formula_member(A: FiniteHilbertAlgebra, X: int, a: int) -> bool:
+    """Membership in Fg(X) via nested implications.
+
+    a is in Fg(X) iff a = 1 or b_1 -> (... (b_k -> a)...) = 1 for some
+    b_i in X.  Rather than enumerating nesting sequences, close {a}
+    under t |-> b -> t for b in X and ask whether 1 shows up.
+    """
+    if a == A.top:
+        return True
+    reach = bit(a)
+    frontier = [a]
+    while frontier:
+        t = frontier.pop()
+        for b in iter_bits(X):
+            v = A.arrow[b][t]
+            if not reach >> v & 1:
+                if v == A.top:
+                    return True
+                reach |= bit(v)
+                frontier.append(v)
+    return False
+
+
+def fg_with_extra_member(A: FiniteHilbertAlgebra, X: int, c: int, a: int) -> bool:
+    """Membership in Fg(X | {c}), by the deduction theorem:
+    a is in Fg(X | {c}) iff c -> a is in Fg(X).  (a = 1 is covered too,
+    since c -> 1 = 1.)"""
+    return fg_formula_member(A, X, A.arrow[c][a])
+
+
+def fg_with_extra(A: FiniteHilbertAlgebra, X: int, c: int) -> int:
+    """Fg(X | {c}); fg_with_extra_member is the matching formula oracle."""
+    return fg_closure(A, X | bit(c))
+
+
+# ---------------------------------------------------------------------------
+# the lattice and its spectrum
+
+
+def join(A: FiniteHilbertAlgebra, F: int, G: int) -> int:
+    """The join of two filters in Fi(A)."""
+    return fg_closure(A, F | G)
+
+
+def is_meet_prime(L, F: int) -> bool:
+    """F < maximum and G & H <= F forces G <= F or H <= F."""
+    if F == L.algebra.universe_mask():
+        return False
+    for G in L.filters:
+        for H in L.filters:
+            if (G & H) & ~F == 0 and G & ~F and H & ~F:
+                return False
+    return True
+
+
+def one_upper_cover_spectrum(A: FiniteHilbertAlgebra) -> tuple:
+    """The members of Fi(A) with exactly one upper cover, in lattice order.
+
+    For a filter F the deduction theorem gives Fg(F | {a}) =
+    {b : a -> b in F}.  The upper covers of F are the minimal sets among
+    these extensions: if G covers F and a is in G - F, then
+    F < Fg(F | {a}) <= G.  So F has exactly one upper cover iff the meet
+    of its extensions is one of them (a finite family has a single
+    minimal member iff it contains its meet).
+    """
+    out = []
+    for F in all_filters(A).filters:
+        extensions = {
+            subset_of(b for b in range(A.size) if F >> A.arrow[a][b] & 1)
+            for a in range(A.size)
+            if not F >> a & 1
+        }
+        if extensions and reduce(and_, extensions) in extensions:
+            out.append(F)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# identities
+
+
+def satisfies_identity_by_eval_term(A: FiniteHilbertAlgebra, t) -> tuple:
+    """satisfies_identity with eval_term on every assignment."""
+    for v in product(range(A.size), repeat=term_width(t)):
+        if eval_term(A, t, v) != A.top:
+            return False, v
+    return True, None

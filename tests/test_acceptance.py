@@ -20,12 +20,8 @@ from hilbertalg import (
     enumerate_hilbert,
     eval_term,
     fg_closure,
-    fg_formula_member,
-    fg_with_extra,
-    fg_with_extra_member,
     find_isomorphism,
     heyting_from_poset,
-    is_meet_prime,
     meet_irreducibles,
     reduct_depth_vs_poset,
     separate,
@@ -35,6 +31,13 @@ from hilbertalg import (
     verify_main_theorem,
 )
 from hilbertalg.core import axioms_hold, bit, generated_subuniverse
+from oracles import (
+    fg_formula_member,
+    fg_with_extra,
+    fg_with_extra_member,
+    is_meet_prime,
+    join,
+)
 
 MAX_SIZE = 5
 MAX_N = 4
@@ -88,8 +91,8 @@ def test_lattice_laws(algebras):
             for G in L.filters:
                 for H in L.filters:
                     for K in L.filters:
-                        assert G & L.join(H, K) == L.join(G & H, G & K)
-            irreducible = set(meet_irreducibles(L).filters)
+                        assert G & join(A, H, K) == join(A, G & H, G & K)
+            irreducible = set(meet_irreducibles(A).filters)
             prime = {F for F in L.filters if is_meet_prime(L, F)}
             assert irreducible == prime
     _report("lattice laws (<=4 elements)")
@@ -109,9 +112,8 @@ def test_separation(algebras):
     """separate is sound, and a !<= b splits through the spectrum."""
     for size in range(1, MAX_SIZE + 1):
         for A in algebras[size]:
-            L = all_filters(A)
-            spectrum = set(meet_irreducibles(L).filters)
-            for F in L.filters:
+            spectrum = set(meet_irreducibles(A).filters)
+            for F in all_filters(A).filters:
                 for a in range(A.size):
                     if F >> a & 1:
                         continue
@@ -132,7 +134,7 @@ def test_proof_procedures(algebras):
     checked = 0
     for size in range(1, MAX_SIZE + 1):
         for A in algebras[size]:
-            spectrum = set(meet_irreducibles(all_filters(A)).filters)
+            spectrum = set(meet_irreducibles(A).filters)
             for n in range(MAX_N + 1):
                 ok, cex = depth_leq_via_identity(A, n)
                 if ok:

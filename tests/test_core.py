@@ -21,6 +21,7 @@ from hilbertalg import (
 )
 from hilbertalg.core import iter_bits, mask_str
 from hilbertalg.errors import RangeError, UnboundVariableError
+from oracles import satisfies_identity_by_eval_term
 
 # 3-chain 0 < a < 1 with the non-Goedel cell a -> 0 = a
 BAD_CHAIN = [[2, 2, 2], [1, 2, 2], [0, 1, 2]]
@@ -104,6 +105,26 @@ class TestSatisfiesIdentity:
 
     def test_chain_validates_d2(self, chain3):
         assert satisfies_identity(chain3, d_term(2))[0]
+
+    def test_agrees_with_eval_term_scan(self, a2, chain3, fork):
+        x0, x1, x2 = Var(0), Var(1), Var(2)
+        terms = [
+            x0,
+            x2,  # x0 and x1 range too, unused
+            Imp(x1, x1),
+            Imp(x0, Imp(x1, x0)),  # K
+            Imp(Imp(x0, Imp(x1, x2)), Imp(Imp(x0, x1), Imp(x0, x2))),  # S
+            Imp(Imp(x0, x1), x0),
+            Imp(Imp(Imp(x0, x1), x0), x0),  # Peirce: fails off Boolean algebras
+            d_term(3),
+        ]
+        for A in (a2, chain3, fork, chain_algebra(4)):
+            for t in terms:
+                assert satisfies_identity(A, t) == satisfies_identity_by_eval_term(A, t)
+
+    def test_deep_term(self, trivial):
+        # compiled without nesting, so depth is bounded only by recursion
+        assert satisfies_identity(trivial, d_term(100)) == (True, None)
 
 
 class TestGeneratedSubuniverse:

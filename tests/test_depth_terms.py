@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from hilbertalg import (
@@ -5,7 +7,6 @@ from hilbertalg import (
     Imp,
     Poset,
     Var,
-    all_filters,
     all_posets,
     chain_algebra,
     chain_from_counterexample,
@@ -17,12 +18,16 @@ from hilbertalg import (
     heyting_from_poset,
     meet_irreducibles,
     satisfies_identity,
+    separate,
     subalgebra_from_chain,
     subset_of,
     verify_main_theorem,
 )
+from hilbertalg import filters
 from hilbertalg.core import bit, generated_subuniverse, iter_bits
+from hilbertalg.cli import main
 from hilbertalg.errors import PreconditionError, UnboundVariableError
+from oracles import fan
 
 
 class TestDTerm:
@@ -152,7 +157,7 @@ class TestChainFromCounterexample:
     def test_invariants_exhaustive(self):
         for size in range(1, 5):
             for A in enumerate_hilbert(size):
-                spec = set(meet_irreducibles(all_filters(A)).filters)
+                spec = set(meet_irreducibles(A).filters)
                 for n in range(4):
                     ok, cex = depth_leq_via_identity(A, n)
                     if ok:
@@ -209,3 +214,39 @@ class TestSubalgebraFromChain:
                     closed = subset_of(es) | bit(A.top)
                     assert generated_subuniverse(A, closed) == closed
                     assert eval_term(A, d_term(n), es) != A.top
+
+
+class TestDepthPathWithoutLattice:
+    """depth, verify and the n = 0 witnesses read the spectrum off the
+    table; Fi(fan(63)) would have 2^63 members."""
+
+    @pytest.fixture
+    def no_lattice(self, monkeypatch):
+        def refuse(A):
+            raise AssertionError("Fi(A) was built")
+
+        monkeypatch.setattr(filters, "_build_lattice", refuse)
+
+    def test_library(self, no_lattice):
+        A = fan(63)
+        assert depth(A) == 1
+        report = verify_main_theorem(A, 4)
+        assert report.rows == ((0, False, False, True),) + tuple(
+            (n, True, True, True) for n in range(1, 5)
+        )
+        assert separate(A, bit(A.top), 0) == A.universe_mask() & ~bit(0)
+        holds, cex = depth_leq_via_identity(A, 0)
+        assert not holds and cex == (0,)
+        chain = chain_from_counterexample(A, cex, 0)
+        assert chain.filters == (A.universe_mask() & ~bit(0),)
+        assert subalgebra_from_chain(A, chain).elements == (0,)
+
+    def test_cli_verify(self, no_lattice, tmp_path, capsys):
+        A = fan(63)
+        path = tmp_path / "fan63.json"
+        path.write_text(json.dumps({"size": A.size, "arrow": A.arrow}))
+        assert main(["verify", str(path), "--nmax", "4"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "depth 1",
+            "n=0: depth<=0 no, d_0 holds no, agree, counterexample (0,)",
+        ] + [f"n={n}: depth<={n} yes, d_{n} holds yes, agree" for n in range(1, 5)]

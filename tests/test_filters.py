@@ -8,18 +8,23 @@ from hilbertalg import (
     depth,
     enumerate_hilbert,
     fg_closure,
-    fg_formula_member,
-    fg_with_extra,
-    fg_with_extra_member,
     heyting_from_poset,
     is_implicative_filter,
-    is_meet_prime,
     meet_irreducibles,
     separate,
     subset_of,
 )
-from hilbertalg.errors import NotInLatticeError, PreconditionError, SizeLimitError
+from hilbertalg.errors import PreconditionError, SizeLimitError
 from hilbertalg.filters import principal_filter
+from oracles import (
+    fan,
+    fg_formula_member,
+    fg_with_extra,
+    fg_with_extra_member,
+    is_meet_prime,
+    join,
+    one_upper_cover_spectrum,
+)
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +45,7 @@ def pairwise_meet_spectrum(L):
     the meet of two strictly larger filters."""
     out = []
     for F in L.filters:
-        if F == L.maximum:
+        if F == L.algebra.universe_mask():
             continue
         above = [G for G in L.filters if G != F and G & F == F]
         if not any(G & H == F for i, G in enumerate(above) for H in above[i:]):
@@ -162,26 +167,35 @@ class TestAllFilters:
         before = (hash(fork), repr(fork))
         L = all_filters(fork)
         assert all_filters(fork) is L
+        spectrum = meet_irreducibles(fork).filters
+        assert meet_irreducibles(fork).filters is spectrum
         assert fork == twin and (hash(fork), repr(fork)) == before
         assert (hash(twin), repr(twin)) == before
 
 
 class TestSpectrum:
     def test_a2(self, a2):
-        assert meet_irreducibles(all_filters(a2)).filters == (subset_of([1]),)
+        assert meet_irreducibles(a2).filters == (subset_of([1]),)
 
     def test_chain(self, chain3):
-        spec = meet_irreducibles(all_filters(chain3))
+        spec = meet_irreducibles(chain3)
         assert spec.filters == (subset_of([2]), subset_of([1, 2]))
 
     def test_fork_excludes_bottom(self, fork):
-        spec = meet_irreducibles(all_filters(fork))
+        spec = meet_irreducibles(fork)
         assert set(spec.filters) == {subset_of([0, 2]), subset_of([1, 2])}
 
     def test_agrees_with_pairwise_meets(self, oracle_set):
-        for A in oracle_set + [chain_algebra(16)]:
+        fans = [fan(m) for m in range(1, 7)]
+        for A in oracle_set + [chain_algebra(16)] + fans:
             L = all_filters(A)
-            assert meet_irreducibles(L).filters == pairwise_meet_spectrum(L), A.arrow
+            assert meet_irreducibles(A).filters == pairwise_meet_spectrum(L), A.arrow
+
+    def test_agrees_with_one_upper_cover(self, oracle_set):
+        # fan(12) has 4096 filters; fan(16) takes seconds, too slow here
+        fans = [fan(m) for m in range(1, 13)]
+        for A in oracle_set + [chain_algebra(16)] + fans:
+            assert meet_irreducibles(A).filters == one_upper_cover_spectrum(A), A.arrow
 
     def test_meet_prime_examples(self, fork, a2):
         L = all_filters(fork)
@@ -189,15 +203,11 @@ class TestSpectrum:
         assert not is_meet_prime(L, subset_of([2]))
         assert not is_meet_prime(all_filters(a2), subset_of([0, 1]))
 
-    def test_meet_prime_not_in_lattice(self, chain3):
-        with pytest.raises(NotInLatticeError):
-            is_meet_prime(all_filters(chain3), subset_of([0]))
-
     def test_irreducible_equals_prime(self):
         for n in range(1, 5):
             for A in enumerate_hilbert(n):
                 L = all_filters(A)
-                spec = set(meet_irreducibles(L).filters)
+                spec = set(meet_irreducibles(A).filters)
                 primes = {F for F in L.filters if is_meet_prime(L, F)}
                 assert spec == primes
 
@@ -208,7 +218,7 @@ class TestSpectrum:
                 for G in L.filters:
                     for H in L.filters:
                         for K in L.filters:
-                            assert G & L.join(H, K) == L.join(G & H, G & K)
+                            assert G & join(A, H, K) == join(A, G & H, G & K)
 
 
 class TestDepth:
@@ -239,9 +249,8 @@ class TestSeparate:
     def test_soundness_exhaustive(self):
         for n in range(1, 5):
             for A in enumerate_hilbert(n):
-                L = all_filters(A)
-                spec = set(meet_irreducibles(L).filters)
-                for F in L.filters:
+                spec = set(meet_irreducibles(A).filters)
+                for F in all_filters(A).filters:
                     for a in range(A.size):
                         if not F >> a & 1:
                             G = separate(A, F, a)
@@ -253,7 +262,7 @@ class TestSeparate:
         # a !<= b admits a spectrum member containing a, omitting b
         for n in range(1, 5):
             for A in enumerate_hilbert(n):
-                spec = meet_irreducibles(all_filters(A)).filters
+                spec = meet_irreducibles(A).filters
                 for a in range(A.size):
                     for b in range(A.size):
                         if not A.leq(a, b):

@@ -106,13 +106,13 @@ class TestCorrespondence:
     def test_meet_irreducibility_transports(self):
         for n in range(1, 5):
             for A in enumerate_hilbert(n):
-                spec = set(meet_irreducibles(all_filters(A)).filters)
+                spec = set(meet_irreducibles(A).filters)
                 for F in all_filters(A).filters:
                     mapping, ok = correspondence_check(A, F)
                     assert ok
                     q = quotient(A, F)
                     quotient_spec = set(
-                        meet_irreducibles(all_filters(q.algebra)).filters
+                        meet_irreducibles(q.algebra).filters
                     )
                     assert {
                         mapping[G] for G in mapping if G in spec
