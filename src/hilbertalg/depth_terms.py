@@ -76,11 +76,13 @@ def _g_table(A: FiniteHilbertAlgebra) -> list:
 
 
 def _failure_sets(A: FiniteHilbertAlgebra, g: list, n_max: int) -> list:
-    """T_0..T_{n_max} as masks.  They depend only on the number of steps
-    left, so one list serves every n <= n_max."""
+    """T_0..T_{n_max} as masks, cut after the first empty one: each set is
+    computed from the one before, so every later set is empty too.  They
+    depend only on the number of steps left, so one list serves every
+    n <= n_max."""
     reach = [subset_of(row) for row in g]
     sets = [A.universe_mask() & ~bit(A.top)]
-    for _ in range(n_max):
+    while sets[-1] and len(sets) <= n_max:
         target = sets[-1]
         sets.append(subset_of(v for v, r in enumerate(reach) if r & target))
     return sets
@@ -88,7 +90,7 @@ def _failure_sets(A: FiniteHilbertAlgebra, g: list, n_max: int) -> list:
 
 def _least_counterexample(g: list, sets: list, n: int) -> Optional[tuple]:
     """The lexicographically least assignment with d_n != 1, or None."""
-    if not sets[n]:
+    if n >= len(sets) or not sets[n]:
         return None
     v = next(iter_bits(sets[n]))
     assignment = [v]

@@ -1,23 +1,28 @@
 """Isomorph-free exhaustive generation of finite Hilbert algebras, plus
 finite Heyting algebras built as upset algebras of posets.
 
-Generation strategy: fix the top element at index n-1, enumerate the
-candidate partial orders below it, and backtrack over the table cells
-a -> b with a !<= b.  The axioms force a -> a = 1, x -> 1 = 1, 1 -> x = x
-and b <= a -> b < 1, which shrinks each cell's domain to the strict-below-
-top part of b's upset.  Complete tables are validated and only canonical
-representatives (lexicographically least table over permutations fixing
-top) are emitted.
+Hilbert algebras are the ->-subreducts of Heyting algebras, and the
+generator uses that definition.  A finite A embeds into the upset
+algebra Up(Spec A) by a |-> {M in Spec A : a in M} (Diego 1966; Celani,
+Cabrer and Montangie 2009).  The spectrum has at most n - 1 points when
+|A| = n: the column test in filters._build_spectrum gives at most one
+member per a != 1.  So every n-element algebra is, up to isomorphism,
+an n-element ->-closed subset of the reduct of Up(P) for a poset P with
+k < n points, and conversely every such subset is a Hilbert algebra.
+enumerate_hilbert collects those subsets for one P per isomorphism
+class, relabels each with its top at n-1, and keeps the canonical
+representative (lexicographically least table over the permutations
+fixing the top) of each class.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import Iterator, List, Optional, Tuple
 
-from .core import FiniteHilbertAlgebra, axioms_hold, bit, iter_bits
+from .core import FiniteHilbertAlgebra, bit, generated_subuniverse, iter_bits
 from .errors import RangeError, SizeLimitError
 from .filters import depth
 
@@ -194,34 +199,6 @@ def reduct_depth_vs_poset(P: Poset) -> Tuple[int, int, bool]:
 # exhaustive generation
 
 
-def _orders_with_top(n: int) -> Iterator[tuple]:
-    """Partial orders on 0..n-1 where n-1 is the maximum."""
-    for P in all_posets(n - 1):
-        yield tuple(row + (True,) for row in P.leq) + ((False,) * (n - 1) + (True,),)
-
-
-def _fill_tables(n: int, order) -> Iterator[list]:
-    top = n - 1
-    table = [[top if order[a][b] else None for b in range(n)] for a in range(n)]
-    for b in range(top):
-        table[top][b] = b  # 1 -> x = x
-    cells = [
-        (a, b)
-        for a in range(top)
-        for b in range(n)
-        if table[a][b] is None
-    ]
-    domains = [
-        [v for v in range(n) if order[b][v] and v != top] for (a, b) in cells
-    ]
-    if any(not d for d in domains):
-        return
-    for choice in product(*domains):
-        for (a, b), v in zip(cells, choice):
-            table[a][b] = v
-        yield table
-
-
 def _canonical(flat: tuple, n: int, top: int) -> tuple:
     best = flat
     for images in permutations(range(top)):
@@ -237,6 +214,28 @@ def _canonical(flat: tuple, n: int, top: int) -> tuple:
     return best
 
 
+def _closed_subsets(U: FiniteHilbertAlgebra, n: int) -> List[int]:
+    """The ->-closed subsets of U with n elements, as masks.
+
+    Grown from {1} by adding one element and closing.  A closed S is
+    reached through closure{s1} <= closure{s1, s2} <= ... = S, none of
+    them larger than S, so sets with more than n elements are dropped.
+    """
+    start = bit(U.top)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        S = frontier.pop()
+        for a in range(U.size):
+            if S >> a & 1:
+                continue
+            T = generated_subuniverse(U, S | bit(a))
+            if T.bit_count() <= n and T not in seen:
+                seen.add(T)
+                frontier.append(T)
+    return [S for S in seen if S.bit_count() == n]
+
+
 def enumerate_hilbert(
     n: int, cap: Optional[int] = None
 ) -> List[FiniteHilbertAlgebra]:
@@ -248,21 +247,19 @@ def enumerate_hilbert(
         cap = enum_cap()
     if n > cap:
         raise SizeLimitError(f"size {n} exceeds enumeration cap {cap}")
-    if n == 1:
-        return [FiniteHilbertAlgebra.from_table([[0]])]
     top = n - 1
-    found = []
-    for order in _orders_with_top(n):
-        for table in _fill_tables(n, order):
-            if not axioms_hold(table, n, top):
-                continue
-            flat = tuple(table[a][b] for a in range(n) for b in range(n))
-            if flat == _canonical(flat, n, top):
-                found.append(flat)
-    found.sort()
+    found = set()
+    for k in range(n):
+        for P in all_posets(k, up_to_iso=True):
+            _, U = heyting_from_poset(P)
+            for S in _closed_subsets(U, n):
+                members = list(iter_bits(S))  # U's top is its last element
+                index = {x: i for i, x in enumerate(members)}
+                flat = tuple(index[U.arrow[x][y]] for x in members for y in members)
+                found.add(_canonical(flat, n, top))
     return [
         FiniteHilbertAlgebra.from_table(
             [list(flat[a * n : (a + 1) * n]) for a in range(n)]
         )
-        for flat in found
+        for flat in sorted(found)
     ]

@@ -5,8 +5,9 @@ from functools import reduce
 from itertools import product
 from operator import and_
 
-from hilbertalg import FiniteHilbertAlgebra, all_filters, eval_term, fg_closure
-from hilbertalg.core import bit, iter_bits, subset_of, term_width
+from hilbertalg import FiniteHilbertAlgebra, all_filters, all_posets, eval_term, fg_closure
+from hilbertalg.core import axioms_hold, bit, iter_bits, subset_of, term_width
+from hilbertalg.enumeration import _canonical
 
 
 def fan(m: int) -> FiniteHilbertAlgebra:
@@ -109,3 +110,51 @@ def satisfies_identity_by_eval_term(A: FiniteHilbertAlgebra, t) -> tuple:
         if eval_term(A, t, v) != A.top:
             return False, v
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# generation
+
+
+def _orders_with_top(n: int):
+    """Partial orders on 0..n-1 where n-1 is the maximum."""
+    for P in all_posets(n - 1):
+        yield tuple(row + (True,) for row in P.leq) + ((False,) * (n - 1) + (True,),)
+
+
+def _fill_tables(n: int, order):
+    """Every table on the order whose forced cells (a <= b gives 1,
+    1 -> x = x) are set and whose other cells a -> b lie strictly below
+    the top in b's upset."""
+    top = n - 1
+    table = [[top if order[a][b] else None for b in range(n)] for a in range(n)]
+    for b in range(top):
+        table[top][b] = b  # 1 -> x = x
+    cells = [(a, b) for a in range(top) for b in range(n) if table[a][b] is None]
+    domains = [[v for v in range(n) if order[b][v] and v != top] for (a, b) in cells]
+    if any(not d for d in domains):
+        return
+    for choice in product(*domains):
+        for (a, b), v in zip(cells, choice):
+            table[a][b] = v
+        yield table
+
+
+def scanned_hilbert_classes(n: int) -> list:
+    """enumerate_hilbert by scanning candidate tables: fill every table
+    over every order with top n-1, keep those passing axioms_hold whose
+    flat table is canonical, in ascending order."""
+    top = n - 1
+    found = []
+    for order in _orders_with_top(n):
+        for table in _fill_tables(n, order):
+            if not axioms_hold(table, n, top):
+                continue
+            flat = tuple(table[a][b] for a in range(n) for b in range(n))
+            if flat == _canonical(flat, n, top):
+                found.append(flat)
+    found.sort()
+    return [
+        FiniteHilbertAlgebra.from_table([list(flat[a * n : (a + 1) * n]) for a in range(n)])
+        for flat in found
+    ]

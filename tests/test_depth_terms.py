@@ -23,7 +23,7 @@ from hilbertalg import (
     subset_of,
     verify_main_theorem,
 )
-from hilbertalg import filters
+from hilbertalg import depth_terms, filters
 from hilbertalg.core import bit, generated_subuniverse, iter_bits
 from hilbertalg.cli import main
 from hilbertalg.errors import PreconditionError, UnboundVariableError
@@ -126,6 +126,15 @@ class TestVerifyMainTheorem:
         report = verify_main_theorem(trivial, 0)
         assert report.depth == 0
         assert report.rows == ((0, True, True, True),)
+
+    def test_failure_sets_stop_at_first_empty(self, trivial, fork):
+        for A in (trivial, fork, chain_algebra(3), chain_algebra(16), fan(6)):
+            g = depth_terms._g_table(A)
+            sets = depth_terms._failure_sets(A, g, 10**6)
+            assert len(sets) <= A.size + 1
+            assert not sets[-1]
+            report = verify_main_theorem(A, 40)
+            assert len(report.rows) == 41 and report.all_agree
 
 
 class TestChainFromCounterexample:

@@ -15,6 +15,7 @@ from hilbertalg import (
 from hilbertalg.core import axioms_hold, iter_bits
 from hilbertalg.enumeration import Poset, upsets
 from hilbertalg.errors import RangeError, SizeLimitError
+from oracles import scanned_hilbert_classes
 
 
 def brute_force_classes(n):
@@ -126,6 +127,11 @@ class TestEnumerateHilbert:
     def test_brute_force_oracle_agrees(self):
         for n in (1, 2, 3):
             assert len(brute_force_classes(n)) == len(enumerate_hilbert(n))
+
+    def test_same_as_table_scan(self):
+        for n in range(1, 6):
+            mine = [A.arrow for A in enumerate_hilbert(n)]
+            assert mine == [A.arrow for A in scanned_hilbert_classes(n)], n
 
     def test_dfs_oracle_agrees_at_four(self):
         oracle = dfs_classes(4)
