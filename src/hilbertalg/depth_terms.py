@@ -25,8 +25,8 @@ from .core import (
     subset_of,
 )
 from .errors import InternalInvariantError, PreconditionError, UnboundVariableError
-from .filters import depth, fg_closure, meet_irreducibles, principal_filter, separate
-from .quotient import _correspondence, quotient
+from .filters import depth, fg_closure, meet_irreducibles, separate
+from .quotient import quotient
 
 
 def d_term(n: int) -> Term:
@@ -161,14 +161,15 @@ def chain_from_counterexample(
 
     Follows the proof's induction: separate off F_0, generate
     F = Fg(F_0 | {a_n}), recurse in A/F where d_{n-1} still fails, and
-    pull the shorter chain back through the correspondence isomorphism.
+    pull the shorter chain back through the projection A -> A/F.
     """
     assignment = tuple(assignment)
     if _d_value(A, assignment, n) == A.top:
         raise PreconditionError("d_n evaluates to 1 under this assignment")
-    witness = ChainWitness(algebra=A, filters=tuple(_chain_rec(A, assignment, n)))
-    _check_chain(witness)
-    return witness
+    filters = tuple(_chain_rec(A, assignment, n))
+    if not _is_spectrum_chain(A, filters):
+        raise InternalInvariantError("chain is not strict in the spectrum")
+    return ChainWitness(algebra=A, filters=filters)
 
 
 def _chain_rec(A, assignment, n):
@@ -178,28 +179,31 @@ def _chain_rec(A, assignment, n):
     b = _d_value(A, assignment[:n], n - 1)
     an = assignment[n]
     lhs = A.arrow[A.arrow[an][b]][an]  # (a_n -> b) -> a_n, not <= a_n
-    F0 = separate(A, principal_filter(A, lhs), an)
+    F0 = separate(A, A.upset_mask(lhs), an)
     F = fg_closure(A, F0 | bit(an))
     if F >> b & 1:
         raise InternalInvariantError("d_{n-1} value landed in Fg(F_0 | {a_n})")
     q = quotient(A, F)
-    sub = _chain_rec(q.algebra, tuple(q.projection[a] for a in assignment[:n]), n - 1)
-    mapping, ok = _correspondence(A, F, q)
-    if not ok:
-        raise InternalInvariantError("filter correspondence failed to verify")
-    inverse = {image: G for G, image in mapping.items()}
-    return [F0] + [inverse[G] for G in sub]
+    proj = q.projection
+    sub = _chain_rec(q.algebra, tuple(proj[a] for a in assignment[:n]), n - 1)
+    # Each member G' of the quotient chain comes back as its preimage under
+    # pi: A -> A/F, so Fi(A) and Fi(A/F) are never built.  theta builds
+    # theta_F from its definition, _assert_congruence checks that it is a
+    # congruence and quotient validates A/F, so pi is a surjective
+    # homomorphism with pi^-1(1) = F, since 1 -> a = a.  By the
+    # correspondence theorem the unique filter G >= F with image G' is
+    # theta-saturated: if g in G and g theta h, then g -> h in F <= G, so
+    # h in G.  Hence G = pi^-1(G').  chain_from_counterexample still checks
+    # the result: every member lies in Spec(A) and the inclusions are strict.
+    return [F0] + [subset_of(a for a in range(A.size) if G >> proj[a] & 1) for G in sub]
 
 
-def _check_chain(witness: ChainWitness) -> None:
-    spectrum = meet_irreducibles(witness.algebra)
-    fs = witness.filters
-    for F in fs:
-        if F not in spectrum:
-            raise InternalInvariantError("chain member is not meet-irreducible")
-    for F, G in zip(fs, fs[1:]):
-        if not (F & G == F and F != G):
-            raise InternalInvariantError("chain inclusions are not strict")
+def _is_spectrum_chain(A: FiniteHilbertAlgebra, fs: tuple) -> bool:
+    """Every member lies in Spec(A) and each is strictly below the next."""
+    spectrum = meet_irreducibles(A)
+    return all(F in spectrum for F in fs) and all(
+        F & G == F and F != G for F, G in zip(fs, fs[1:])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +231,8 @@ def subalgebra_from_chain(
     fs = chain.filters
     if not fs:
         raise PreconditionError("empty filter chain")
-    spectrum = meet_irreducibles(A)
-    for F in fs:
-        if F not in spectrum:
-            raise PreconditionError("chain member is not in the spectrum")
-    for F, G in zip(fs, fs[1:]):
-        if not (F & G == F and F != G):
-            raise PreconditionError("filter chain is not strictly increasing")
+    if not _is_spectrum_chain(A, fs):
+        raise PreconditionError("filter chain is not strict in the spectrum")
     elements = _subalg_rec(A, fs)
     witness = SubalgebraChainWitness(algebra=A, elements=tuple(elements))
     _check_subalgebra(witness, fs[0])

@@ -41,11 +41,6 @@ def fg_closure(A: FiniteHilbertAlgebra, X: int) -> int:
     return F
 
 
-def principal_filter(A: FiniteHilbertAlgebra, a: int) -> int:
-    """The principal upset of a; always an implicative filter."""
-    return A.upset_mask(a)
-
-
 def _by_size(masks) -> tuple:
     return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
 

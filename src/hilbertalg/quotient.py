@@ -101,13 +101,7 @@ def correspondence_check(
     Returns (mapping, verdict): verdict is True iff h is a bijection onto
     Fi(A/F) that preserves and reflects inclusion.  False signals a bug.
     """
-    return _correspondence(A, F, quotient(A, F))
-
-
-def _correspondence(
-    A: FiniteHilbertAlgebra, F: int, q: QuotientResult
-) -> Tuple[Dict[int, int], bool]:
-    """correspondence_check for an already built q = quotient(A, F)."""
+    q = quotient(A, F)
     proj = q.projection
     above = [G for G in all_filters(A).filters if G & F == F]
     mapping = {}
@@ -128,4 +122,3 @@ def _correspondence(
         )
     )
     return mapping, ok
-

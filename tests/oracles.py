@@ -5,8 +5,18 @@ from functools import reduce
 from itertools import product
 from operator import and_
 
-from hilbertalg import FiniteHilbertAlgebra, all_filters, all_posets, eval_term, fg_closure
+from hilbertalg import (
+    FiniteHilbertAlgebra,
+    all_filters,
+    all_posets,
+    correspondence_check,
+    eval_term,
+    fg_closure,
+    quotient,
+    separate,
+)
 from hilbertalg.core import axioms_hold, bit, iter_bits, subset_of, term_width
+from hilbertalg.depth_terms import _d_value
 from hilbertalg.enumeration import _canonical
 
 
@@ -17,6 +27,21 @@ def fan(m: int) -> FiniteHilbertAlgebra:
     top = m
     table = [[top if i == j or j == top else j for j in range(m + 1)] for i in range(m + 1)]
     return FiniteHilbertAlgebra.from_table(table)
+
+
+def capped_fan(m: int) -> FiniteHilbertAlgebra:
+    """m pairwise incomparable atoms 0..m-1 under one coatom c = m, top
+    m+1.  x -> y is 1 when x = y, y = 1, or y = c and x != 1; otherwise
+    y.  Fi(capped_fan(m)) has 2^m + 1 members, the spectrum m + 1 and
+    the depth is 2."""
+    c, top = m, m + 1
+
+    def arrow(x, y):
+        return top if x == y or y == top or (y == c and x != top) else y
+
+    return FiniteHilbertAlgebra.from_table(
+        [[arrow(x, y) for y in range(m + 2)] for x in range(m + 2)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +123,30 @@ def one_upper_cover_spectrum(A: FiniteHilbertAlgebra) -> tuple:
         if extensions and reduce(and_, extensions) in extensions:
             out.append(F)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# proof procedure 1
+
+
+def chain_by_correspondence(A: FiniteHilbertAlgebra, assignment, n: int) -> tuple:
+    """The filters of chain_from_counterexample, with each quotient chain
+    member pulled back by inverting correspondence_check's map from the
+    filters above F onto Fi(A/F), instead of by preimage."""
+    if n == 0:
+        return (separate(A, bit(A.top), assignment[0]),)
+    b = _d_value(A, assignment[:n], n - 1)
+    an = assignment[n]
+    F0 = separate(A, A.upset_mask(A.arrow[A.arrow[an][b]][an]), an)
+    F = fg_closure(A, F0 | bit(an))
+    q = quotient(A, F)
+    sub = chain_by_correspondence(
+        q.algebra, tuple(q.projection[a] for a in assignment[:n]), n - 1
+    )
+    mapping, ok = correspondence_check(A, F)
+    assert ok
+    inverse = {image: G for G, image in mapping.items()}
+    return (F0,) + tuple(inverse[G] for G in sub)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from hilbertalg import depth_terms, filters
 from hilbertalg.core import bit, generated_subuniverse, iter_bits
 from hilbertalg.cli import main
 from hilbertalg.errors import PreconditionError, UnboundVariableError
-from oracles import fan
+from oracles import capped_fan, chain_by_correspondence, fan
 
 
 class TestDTerm:
@@ -178,6 +178,22 @@ class TestChainFromCounterexample:
                         assert F & G == F and F != G
 
 
+class TestChainAgainstCorrespondence:
+    """The preimage pull-back against inverting the full correspondence."""
+
+    def test_same_filters(self):
+        algebras = [A for size in range(1, 6) for A in enumerate_hilbert(size)]
+        algebras += [
+            heyting_from_poset(P)[1] for k in range(6) for P in all_posets(k, up_to_iso=True)
+        ]
+        algebras += [chain_algebra(m) for m in (4, 8, 16)]
+        for A in algebras:
+            for n in range(depth(A)):
+                _, cex = depth_leq_via_identity(A, n)
+                expected = chain_by_correspondence(A, cex, n)
+                assert chain_from_counterexample(A, cex, n).filters == expected, (A.arrow, n)
+
+
 class TestSubalgebraFromChain:
     def test_chain3(self, chain3):
         w = chain_from_counterexample(chain3, (0, 1), 1)
@@ -226,8 +242,9 @@ class TestSubalgebraFromChain:
 
 
 class TestDepthPathWithoutLattice:
-    """depth, verify and the n = 0 witnesses read the spectrum off the
-    table; Fi(fan(63)) would have 2^63 members."""
+    """depth, verify and both proof procedures read the spectrum off the
+    table and pull chains back by preimage; Fi(fan(63)) would have 2^63
+    members."""
 
     @pytest.fixture
     def no_lattice(self, monkeypatch):
@@ -249,6 +266,16 @@ class TestDepthPathWithoutLattice:
         chain = chain_from_counterexample(A, cex, 0)
         assert chain.filters == (A.universe_mask() & ~bit(0),)
         assert subalgebra_from_chain(A, chain).elements == (0,)
+
+    def test_witnesses_above_depth_one(self, no_lattice):
+        # Fi(capped_fan(62)) would have 2^62 + 1 members
+        A = capped_fan(62)
+        assert depth(A) == 2
+        holds, cex = depth_leq_via_identity(A, 1)
+        assert (holds, cex) == (False, (0, 62))
+        chain = chain_from_counterexample(A, cex, 1)
+        assert chain.filters == (bit(63), A.universe_mask() & ~bit(0))
+        assert subalgebra_from_chain(A, chain).elements == (0, 62)
 
     def test_cli_verify(self, no_lattice, tmp_path, capsys):
         A = fan(63)

@@ -15,7 +15,6 @@ from hilbertalg import (
     subset_of,
 )
 from hilbertalg.errors import PreconditionError, SizeLimitError
-from hilbertalg.filters import principal_filter
 from oracles import (
     fan,
     fg_formula_member,
@@ -72,7 +71,7 @@ class TestIsImplicativeFilter:
 class TestFgClosure:
     def test_principal(self, chain3):
         assert fg_closure(chain3, subset_of([1])) == subset_of([1, 2])
-        assert fg_closure(chain3, subset_of([1])) == principal_filter(chain3, 1)
+        assert fg_closure(chain3, subset_of([1])) == chain3.upset_mask(1)
 
     def test_empty(self, chain3, fork):
         for A in (chain3, fork):
@@ -155,7 +154,7 @@ class TestAllFilters:
             for F in all_filters(A).filters:
                 for a in range(A.size):
                     if F >> a & 1:
-                        assert principal_filter(A, a) & ~F == 0
+                        assert A.upset_mask(a) & ~F == 0
 
     def test_size_cap(self):
         # all_filters has no cap of its own: one-word masks bound the algebra

@@ -13,7 +13,6 @@ from hilbertalg import (
     validate,
 )
 from hilbertalg.errors import NotAFilterError
-from hilbertalg.filters import principal_filter
 
 
 class TestTheta:
@@ -55,7 +54,7 @@ class TestQuotient:
 
     def test_chain4_by_upset(self):
         A = chain_algebra(3)
-        q = quotient(A, principal_filter(A, 1))
+        q = quotient(A, A.upset_mask(1))
         assert q.algebra.size == 2
         assert q.projection == (0, 1, 1, 1)
 
