@@ -290,18 +290,36 @@ def satisfies_identity(A: FiniteHilbertAlgebra, t: Term):
 
 def generated_subuniverse(A: FiniteHilbertAlgebra, X: int) -> int:
     """Least subset containing X and 1 that is closed under ->."""
-    closed = X | bit(A.top)
-    changed = True
-    while changed:
-        changed = False
-        members = list(iter_bits(closed))
-        for a in members:
-            row = A.arrow[a]
-            for b in members:
-                if not closed >> row[b] & 1:
-                    closed |= bit(row[b])
-                    changed = True
-    return closed
+    return _extend_closed(A.arrow, bit(A.top), [A.top], iter_bits(X), A.size)[0]
+
+
+def _extend_closed(arrow, closed: int, members: list, new, limit: int):
+    """Close `closed` plus the elements `new` under ->, or return None
+    once the result has more than `limit` elements.
+
+    `closed` must already be closed, with `members` listing it.  Pairs
+    inside it need no work, so each element x that joins is paired, both
+    ways, only with the members that joined before it and with itself:
+    every pair is computed once.  Returns the closure's mask and members.
+    """
+    members = list(members)
+    done = len(members)
+    for a in new:
+        if not closed >> a & 1:
+            closed |= 1 << a
+            members.append(a)
+    while done < len(members):
+        if len(members) > limit:
+            return None
+        x = members[done]
+        row = arrow[x]
+        done += 1
+        for y in members[:done]:
+            for v in (row[y], arrow[y][x]):
+                if not closed >> v & 1:
+                    closed |= 1 << v
+                    members.append(v)
+    return closed, members
 
 
 def find_isomorphism(A: FiniteHilbertAlgebra, B: FiniteHilbertAlgebra):

@@ -12,7 +12,7 @@ k < n points, and conversely every such subset is a Hilbert algebra.
 enumerate_hilbert collects those subsets for one P per isomorphism
 class, relabels each with its top at n-1, and keeps the canonical
 representative (lexicographically least table over the permutations
-fixing the top) of each class.
+fixing the top) of each class, computed once per distinct table.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .core import FiniteHilbertAlgebra, bit, generated_subuniverse, iter_bits
+from .core import FiniteHilbertAlgebra, _extend_closed, bit, iter_bits
 from .errors import RangeError, SizeLimitError
 from .filters import depth
 
@@ -98,6 +99,71 @@ def _natural_orders(k: int) -> Iterator[tuple]:
             yield down + (below | bit(k - 1),)
 
 
+def _picker(indices) -> Callable[[Sequence], tuple]:
+    """The function taking a sequence to the tuple of its items at
+    `indices`.  A bare itemgetter returns a scalar for one index and
+    cannot be built from none."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
+
+
+def _code_relabellers(k: int) -> List[Callable[[Sequence], tuple]]:
+    """One picker per permutation q of 0..k-1, taking the flat relation
+    of a poset (see _flat_relation) to the code of its relabelling by q."""
+    pairs = list(combinations(range(k), 2))
+    return [
+        _picker([q[a] * k + q[b] for a, b in pairs]) for q in permutations(range(k))
+    ]
+
+
+def _flat_relation(down) -> list:
+    """Row-major k*k list over the principal down-sets `down`: entry
+    x*k + y is 1 if x is below y, 2 if y is below x, else 0."""
+    k = len(down)
+    return [
+        1 if down[y] >> x & 1 else 2 if down[x] >> y & 1 else 0
+        for x in range(k)
+        for y in range(k)
+    ]
+
+
+def _down_masks(k: int, code: tuple) -> tuple:
+    """The principal down-set masks of the poset with this code."""
+    down = [bit(x) for x in range(k)]
+    for (a, b), s in zip(combinations(range(k), 2), code):
+        if s == 1:
+            down[b] |= bit(a)
+        elif s == 2:
+            down[a] |= bit(b)
+    return tuple(down)
+
+
+def _class_codes(k: int) -> List[tuple]:
+    """The least code of each isomorphism class of k-point posets,
+    ascending.
+
+    Every k-poset loses a maximal point to a (k-1)-poset isomorphic to a
+    class representative, so each class has a member that is a
+    representative on k-1 points plus a new maximal point k-1 above one
+    of its down-sets.  Those candidates meet every class; the least code
+    over their k! relabellings is the class's least code.
+    """
+    if k == 0:
+        return [()]
+    relabellers = _code_relabellers(k)
+    codes = set()
+    for code in _class_codes(k - 1):
+        down = _down_masks(k - 1, code)
+        for below in _closed_masks(down):
+            flat = _flat_relation(down + (below | bit(k - 1),))
+            codes.add(min(relabel(flat) for relabel in relabellers))
+    return sorted(codes)
+
+
 def all_posets(k: int, up_to_iso: bool = False) -> List[Poset]:
     """All posets on k labeled elements (or one per isomorphism class).
 
@@ -105,31 +171,23 @@ def all_posets(k: int, up_to_iso: bool = False) -> List[Poset]:
     a and b are incomparable, 1 if a is below b and 2 if b is below a.
     Every poset is a relabelling of a natural order, so relabelling those
     reaches every code.  Posets come in ascending code order, and a class
-    is represented by its least code.
+    is represented by its least code; with up_to_iso the classes are
+    grown from those on k-1 points instead (_class_codes).
     """
-    pairs = list(combinations(range(k), 2))
-    codes = set()
-    for down in _natural_orders(k):
-        rel = [
-            [1 if down[y] >> x & 1 else 2 if down[x] >> y & 1 else 0 for y in range(k)]
-            for x in range(k)
-        ]
-        relabelled = (
-            tuple(rel[q[a]][q[b]] for a, b in pairs) for q in permutations(range(k))
-        )
-        if up_to_iso:
-            codes.add(min(relabelled))
-        else:
-            codes.update(relabelled)
+    if up_to_iso:
+        codes = _class_codes(k)
+    else:
+        relabellers = _code_relabellers(k)
+        found = set()
+        for down in _natural_orders(k):
+            flat = _flat_relation(down)
+            found.update(relabel(flat) for relabel in relabellers)
+        codes = sorted(found)
     out = []
-    for code in sorted(codes):
-        m = [[a == b for b in range(k)] for a in range(k)]
-        for (a, b), s in zip(pairs, code):
-            if s == 1:
-                m[a][b] = True
-            elif s == 2:
-                m[b][a] = True
-        out.append(Poset(size=k, leq=tuple(tuple(row) for row in m)))
+    for code in codes:
+        down = _down_masks(k, code)
+        leq = tuple(tuple(bool(down[b] >> a & 1) for b in range(k)) for a in range(k))
+        out.append(Poset(size=k, leq=leq))
     return out
 
 
@@ -199,19 +257,26 @@ def reduct_depth_vs_poset(P: Poset) -> Tuple[int, int, bool]:
 # exhaustive generation
 
 
-def _canonical(flat: tuple, n: int, top: int) -> tuple:
-    best = flat
+def _table_relabellers(n: int) -> List[Tuple[Callable[[Sequence], tuple], bytes]]:
+    """One (picker, values) pair per permutation h of 0..n-2, with the top
+    n-1 fixed.  For a flat table T as bytes, picker(T.translate(values))
+    is the flat table of h(T): cell (x, y) holds h(T[h^-1 x][h^-1 y])."""
+    top = n - 1
+    out = []
     for images in permutations(range(top)):
-        h = list(images) + [top]
+        h = images + (top,)
         hinv = [0] * n
         for a, ha in enumerate(h):
             hinv[ha] = a
-        relabeled = tuple(
-            h[flat[hinv[x] * n + hinv[y]]] for x in range(n) for y in range(n)
-        )
-        if relabeled < best:
-            best = relabeled
-    return best
+        picker = _picker([hinv[x] * n + hinv[y] for x in range(n) for y in range(n)])
+        out.append((picker, bytes(h) + bytes(range(n, 256))))
+    return out
+
+
+def _canonical(flat: bytes, relabellers) -> tuple:
+    """The least relabelling of the flat table `flat` over `relabellers`
+    (from _table_relabellers), as a tuple."""
+    return min(picker(flat.translate(values)) for picker, values in relabellers)
 
 
 def _closed_subsets(U: FiniteHilbertAlgebra, n: int) -> List[int]:
@@ -219,20 +284,21 @@ def _closed_subsets(U: FiniteHilbertAlgebra, n: int) -> List[int]:
 
     Grown from {1} by adding one element and closing.  A closed S is
     reached through closure{s1} <= closure{s1, s2} <= ... = S, none of
-    them larger than S, so sets with more than n elements are dropped.
+    them larger than S, so a closure is abandoned once it passes n
+    elements.
     """
     start = bit(U.top)
     seen = {start}
-    frontier = [start]
+    frontier = [(start, [U.top])]
     while frontier:
-        S = frontier.pop()
+        S, members = frontier.pop()
         for a in range(U.size):
             if S >> a & 1:
                 continue
-            T = generated_subuniverse(U, S | bit(a))
-            if T.bit_count() <= n and T not in seen:
-                seen.add(T)
-                frontier.append(T)
+            grown = _extend_closed(U.arrow, S, members, (a,), n)
+            if grown is not None and grown[0] not in seen:
+                seen.add(grown[0])
+                frontier.append(grown)
     return [S for S in seen if S.bit_count() == n]
 
 
@@ -247,16 +313,16 @@ def enumerate_hilbert(
         cap = enum_cap()
     if n > cap:
         raise SizeLimitError(f"size {n} exceeds enumeration cap {cap}")
-    top = n - 1
-    found = set()
+    tables = set()
     for k in range(n):
         for P in all_posets(k, up_to_iso=True):
             _, U = heyting_from_poset(P)
             for S in _closed_subsets(U, n):
                 members = list(iter_bits(S))  # U's top is its last element
                 index = {x: i for i, x in enumerate(members)}
-                flat = tuple(index[U.arrow[x][y]] for x in members for y in members)
-                found.add(_canonical(flat, n, top))
+                tables.add(bytes(index[U.arrow[x][y]] for x in members for y in members))
+    relabellers = _table_relabellers(n)
+    found = {_canonical(flat, relabellers) for flat in tables}
     return [
         FiniteHilbertAlgebra.from_table(
             [list(flat[a * n : (a + 1) * n]) for a in range(n)]

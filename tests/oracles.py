@@ -2,7 +2,7 @@
 against, and the fan algebras.  Nothing in `src` calls these."""
 
 from functools import reduce
-from itertools import product
+from itertools import combinations, permutations, product
 from operator import and_
 
 from hilbertalg import (
@@ -17,7 +17,7 @@ from hilbertalg import (
 )
 from hilbertalg.core import axioms_hold, bit, iter_bits, subset_of, term_width
 from hilbertalg.depth_terms import _d_value
-from hilbertalg.enumeration import _canonical
+from hilbertalg.enumeration import Poset, _natural_orders
 
 
 def fan(m: int) -> FiniteHilbertAlgebra:
@@ -162,7 +162,68 @@ def satisfies_identity_by_eval_term(A: FiniteHilbertAlgebra, t) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# subuniverses
+
+
+def closure_by_rounds(A: FiniteHilbertAlgebra, X: int) -> int:
+    """generated_subuniverse as a fixpoint: apply -> to every pair of
+    members until a whole round adds nothing."""
+    closed = X | bit(A.top)
+    changed = True
+    while changed:
+        changed = False
+        members = list(iter_bits(closed))
+        for a in members:
+            row = A.arrow[a]
+            for b in members:
+                if not closed >> row[b] & 1:
+                    closed |= bit(row[b])
+                    changed = True
+    return closed
+
+
+# ---------------------------------------------------------------------------
 # generation
+
+
+def posets_by_relabelling(k: int) -> list:
+    """all_posets(k, up_to_iso=True) by relabelling every natural order by
+    all k! permutations and keeping each class's least code."""
+    pairs = list(combinations(range(k), 2))
+    codes = set()
+    for down in _natural_orders(k):
+        rel = [
+            [1 if down[y] >> x & 1 else 2 if down[x] >> y & 1 else 0 for y in range(k)]
+            for x in range(k)
+        ]
+        codes.add(min(tuple(rel[q[a]][q[b]] for a, b in pairs) for q in permutations(range(k))))
+    out = []
+    for code in sorted(codes):
+        m = [[a == b for b in range(k)] for a in range(k)]
+        for (a, b), s in zip(pairs, code):
+            if s == 1:
+                m[a][b] = True
+            elif s == 2:
+                m[b][a] = True
+        out.append(Poset(size=k, leq=tuple(tuple(row) for row in m)))
+    return out
+
+
+def canonical_by_scan(flat: tuple, n: int, top: int) -> tuple:
+    """The least relabelling of a flat n*n table over the permutations
+    fixing top, each table rebuilt cell by cell."""
+    best = flat
+    for images in permutations(range(top)):
+        h = list(images) + [top]
+        hinv = [0] * n
+        for a, ha in enumerate(h):
+            hinv[ha] = a
+        relabeled = tuple(
+            h[flat[hinv[x] * n + hinv[y]]] for x in range(n) for y in range(n)
+        )
+        if relabeled < best:
+            best = relabeled
+    return best
 
 
 def _orders_with_top(n: int):
@@ -200,7 +261,7 @@ def scanned_hilbert_classes(n: int) -> list:
             if not axioms_hold(table, n, top):
                 continue
             flat = tuple(table[a][b] for a in range(n) for b in range(n))
-            if flat == _canonical(flat, n, top):
+            if flat == canonical_by_scan(flat, n, top):
                 found.append(flat)
     found.sort()
     return [

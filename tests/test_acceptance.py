@@ -162,13 +162,13 @@ def test_proof_procedures(algebras):
 
 def test_heyting_corollary():
     """Upset-algebra reduct depth equals the poset's longest chain."""
-    for k in range(6):
+    for k in range(7):
         for P in all_posets(k, up_to_iso=True):
             d, chain, agree = reduct_depth_vs_poset(P)
             assert agree, (P.leq, d, chain)
             _, reduct = heyting_from_poset(P)
             assert verify_main_theorem(reduct, 6).all_agree
-    _report("Heyting corollary (posets <= 5 elements, n<=6)")
+    _report("Heyting corollary (posets <= 6 elements, n<=6)")
 
 
 def test_enumeration_sanity(algebras):

@@ -146,6 +146,12 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "4 algebras checked, 16 (algebra,n) pairs, all agree" in out
 
+    def test_enumerate_six(self, monkeypatch, capsys):
+        monkeypatch.setenv("HILBERT_SIZE_CAP", "6")
+        assert main(["verify", "--enumerate", "6", "--nmax", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "126 algebras checked, 756 (algebra,n) pairs, all agree" in out
+
     def test_single_chain(self, algebra_file, capsys):
         assert main(["verify", algebra_file(CHAIN3), "--nmax", "2"]) == 0
         out = capsys.readouterr().out

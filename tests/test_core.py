@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,8 @@ from hilbertalg import (
 )
 from hilbertalg.core import iter_bits, mask_str
 from hilbertalg.errors import RangeError, UnboundVariableError
-from oracles import satisfies_identity_by_eval_term
+from hilbertalg.enumeration import all_posets, enumerate_hilbert, heyting_from_poset
+from oracles import closure_by_rounds, satisfies_identity_by_eval_term
 
 # 3-chain 0 < a < 1 with the non-Goedel cell a -> 0 = a
 BAD_CHAIN = [[2, 2, 2], [1, 2, 2], [0, 1, 2]]
@@ -147,6 +149,20 @@ class TestGeneratedSubuniverse:
             for Y in range(U + 1):
                 if X & Y == X:
                     assert cx & generated_subuniverse(fork, Y) == cx
+
+    def test_same_as_rounds_on_every_subset(self):
+        for n in range(1, 6):
+            for A in enumerate_hilbert(n):
+                for X in range(A.universe_mask() + 1):
+                    assert generated_subuniverse(A, X) == closure_by_rounds(A, X)
+
+    def test_same_as_rounds_on_poset_reducts(self):
+        for k in range(5):
+            for P in all_posets(k, up_to_iso=True):
+                _, U = heyting_from_poset(P)
+                for a, b in itertools.combinations(range(U.size), 2):
+                    X = subset_of([a, b])
+                    assert generated_subuniverse(U, X) == closure_by_rounds(U, X)
 
 
 class TestIsomorphism:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,9 +14,15 @@ from hilbertalg import (
     validate,
 )
 from hilbertalg.core import axioms_hold, iter_bits
-from hilbertalg.enumeration import Poset, upsets
+from hilbertalg.enumeration import (
+    Poset,
+    _canonical,
+    _closed_subsets,
+    _table_relabellers,
+    upsets,
+)
 from hilbertalg.errors import RangeError, SizeLimitError
-from oracles import scanned_hilbert_classes
+from oracles import canonical_by_scan, posets_by_relabelling, scanned_hilbert_classes
 
 
 def brute_force_classes(n):
@@ -133,6 +140,36 @@ class TestEnumerateHilbert:
             mine = [A.arrow for A in enumerate_hilbert(n)]
             assert mine == [A.arrow for A in scanned_hilbert_classes(n)], n
 
+    def test_canonical_same_as_permutation_scan(self):
+        """On every closed-set table enumerate_hilbert keys, and on seeded
+        relabellings of each (top kept at n-1)."""
+        rng = random.Random(9)
+        for n in range(1, 6):
+            relabellers = _table_relabellers(n)
+            tables = []
+            for k in range(n):
+                for P in all_posets(k, up_to_iso=True):
+                    _, U = heyting_from_poset(P)
+                    for S in _closed_subsets(U, n):
+                        members = list(iter_bits(S))
+                        index = {x: i for i, x in enumerate(members)}
+                        flat = tuple(index[U.arrow[x][y]] for x in members for y in members)
+                        tables.append(flat)
+                        for _ in range(3):
+                            h = rng.sample(range(n - 1), n - 1) + [n - 1]
+                            hinv = [h.index(x) for x in range(n)]
+                            tables.append(
+                                tuple(
+                                    h[flat[hinv[x] * n + hinv[y]]]
+                                    for x in range(n)
+                                    for y in range(n)
+                                )
+                            )
+            for flat in tables:
+                assert _canonical(bytes(flat), relabellers) == canonical_by_scan(
+                    flat, n, n - 1
+                ), (n, flat)
+
     def test_dfs_oracle_agrees_at_four(self):
         oracle = dfs_classes(4)
         mine = enumerate_hilbert(4)
@@ -183,14 +220,19 @@ class TestEnumerateHilbert:
 class TestPosets:
     def test_counts(self):
         assert [len(all_posets(k)) for k in range(6)] == [1, 1, 3, 19, 219, 4231]
-        assert [len(all_posets(k, up_to_iso=True)) for k in range(6)] == [
+        assert [len(all_posets(k, up_to_iso=True)) for k in range(7)] == [
             1,
             1,
             2,
             5,
             16,
             63,
+            318,
         ]
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_same_as_natural_order_relabelling(self, k):
+        assert all_posets(k, up_to_iso=True) == posets_by_relabelling(k)
 
     @pytest.mark.parametrize(
         "k, up_to_iso", [(k, iso) for k in range(5) for iso in (False, True)] + [(5, False)]
