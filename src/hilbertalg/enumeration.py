@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from operator import itemgetter
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .core import FiniteHilbertAlgebra, _extend_closed, bit, iter_bits
 from .errors import RangeError, SizeLimitError
@@ -85,18 +85,6 @@ def _closed_masks(principal) -> List[int]:
         for mask in range(1 << len(principal))
         if all(principal[x] & ~mask == 0 for x in iter_bits(mask))
     ]
-
-
-def _natural_orders(k: int) -> Iterator[tuple]:
-    """Orders on 0..k-1 in which a below b implies a < b, as the tuple of
-    principal down-set masks.  Each is an order on 0..k-2 with the new
-    maximal point k-1 placed above one of its down-sets."""
-    if k == 0:
-        yield ()
-        return
-    for down in _natural_orders(k - 1):
-        for below in _closed_masks(down):
-            yield down + (below | bit(k - 1),)
 
 
 def _picker(indices) -> Callable[[Sequence], tuple]:
@@ -169,20 +157,16 @@ def all_posets(k: int, up_to_iso: bool = False) -> List[Poset]:
 
     A poset's code lists, for each pair a < b in lexicographic order, 0 if
     a and b are incomparable, 1 if a is below b and 2 if b is below a.
-    Every poset is a relabelling of a natural order, so relabelling those
-    reaches every code.  Posets come in ascending code order, and a class
-    is represented by its least code; with up_to_iso the classes are
-    grown from those on k-1 points instead (_class_codes).
+    Posets come in ascending code order, and a class is represented by
+    its least code (_class_codes).  Every labelled poset is a relabelling
+    of its class's representative, so relabelling those reaches every
+    code.
     """
-    if up_to_iso:
-        codes = _class_codes(k)
-    else:
+    codes = _class_codes(k)
+    if not up_to_iso:
         relabellers = _code_relabellers(k)
-        found = set()
-        for down in _natural_orders(k):
-            flat = _flat_relation(down)
-            found.update(relabel(flat) for relabel in relabellers)
-        codes = sorted(found)
+        flats = [_flat_relation(_down_masks(k, code)) for code in codes]
+        codes = sorted({relabel(flat) for flat in flats for relabel in relabellers})
     out = []
     for code in codes:
         down = _down_masks(k, code)

@@ -17,7 +17,7 @@ from hilbertalg import (
 )
 from hilbertalg.core import axioms_hold, bit, iter_bits, subset_of, term_width
 from hilbertalg.depth_terms import _d_value
-from hilbertalg.enumeration import Poset, _natural_orders
+from hilbertalg.enumeration import Poset, _closed_masks
 
 
 def fan(m: int) -> FiniteHilbertAlgebra:
@@ -184,6 +184,18 @@ def closure_by_rounds(A: FiniteHilbertAlgebra, X: int) -> int:
 
 # ---------------------------------------------------------------------------
 # generation
+
+
+def _natural_orders(k: int):
+    """Orders on 0..k-1 in which a below b implies a < b, as the tuple of
+    principal down-set masks.  Each is an order on 0..k-2 with the new
+    maximal point k-1 placed above one of its down-sets."""
+    if k == 0:
+        yield ()
+        return
+    for down in _natural_orders(k - 1):
+        for below in _closed_masks(down):
+            yield down + (below | bit(k - 1),)
 
 
 def posets_by_relabelling(k: int) -> list:

@@ -230,9 +230,9 @@ class TestPosets:
             318,
         ]
 
-    @pytest.mark.parametrize("k", range(6))
-    def test_same_as_natural_order_relabelling(self, k):
-        assert all_posets(k, up_to_iso=True) == posets_by_relabelling(k)
+    def test_same_as_natural_order_relabelling(self):
+        # k <= 4 is covered by test_same_as_relation_scan
+        assert all_posets(5, up_to_iso=True) == posets_by_relabelling(5)
 
     @pytest.mark.parametrize(
         "k, up_to_iso", [(k, iso) for k in range(5) for iso in (False, True)] + [(5, False)]
