@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations
 from operator import itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .core import FiniteHilbertAlgebra, _extend_closed, bit, iter_bits
+from .core import FiniteHilbertAlgebra, _extend_closed, bit, iter_bits, subset_of
 from .errors import RangeError, SizeLimitError
 from .filters import depth
 
@@ -54,15 +54,28 @@ class Poset:
     leq: tuple  # tuple of row tuples of bool
 
     def __post_init__(self):
-        n = self.size
-        for a in range(n):
-            if not self.leq[a][a]:
+        n, leq = self.size, self.leq
+        r = range(n)
+        up = [subset_of(compress(r, leq[a])) for a in r]
+        for a in r:
+            # Row a holds iff a <= a and each b >= a has its up-set inside
+            # a's and, unless b = a, is not <= a.  A row that fails, or is
+            # not n long, is scanned cell by cell, which raises on its
+            # first bad cell.
+            row, ua = leq[a], up[a]
+            if len(row) == n and ua >> a & 1:
+                for b in compress(r, row):
+                    if up[b] & ~ua or b != a and up[b] >> a & 1:
+                        break
+                else:
+                    continue
+            if not row[a]:
                 raise RangeError("leq is not reflexive")
-            for b in range(n):
-                if a != b and self.leq[a][b] and self.leq[b][a]:
+            for b in r:
+                if a != b and row[b] and leq[b][a]:
                     raise RangeError("leq is not antisymmetric")
-                for c in range(n):
-                    if self.leq[a][b] and self.leq[b][c] and not self.leq[a][c]:
+                for c in r:
+                    if row[b] and leq[b][c] and not row[c]:
                         raise RangeError("leq is not transitive")
 
     def upset_mask(self, x: int) -> int:

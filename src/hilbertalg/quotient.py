@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .core import FiniteHilbertAlgebra, bit, iter_bits
+from .core import _BYTE_VALUES, FiniteHilbertAlgebra, bit, iter_bits
 from .errors import InternalInvariantError, InvalidAlgebraError, NotAFilterError
 from .filters import all_filters, is_implicative_filter
 
@@ -64,12 +64,17 @@ def _assert_congruence(A, related, class_of, reps):
     # b2 = rep(b) of the full check, since rep(a) ~ a.  Conversely, it gives
     # the full check: class_of is a function, so a ~ a2 means
     # rep(a) = rep(a2), and both sides equal class(rep(a)->rep(b)).
-    rep = [reps[c] for c in class_of]
-    for a in range(n):
-        row, rep_row = A.arrow[a], A.arrow[rep[a]]
-        for b in range(n):
-            if class_of[row[b]] != class_of[rep_row[rep[b]]]:
-                raise InternalInvariantError("theta_F not arrow-compatible")
+    # Both sides are compared as byte strings over all (a, b), built with
+    # bytes.translate.  Row a of the right side depends on a only through
+    # rep(a), so it is built once per block.
+    rep = bytes(map(reps.__getitem__, class_of))
+    pad = _BYTE_VALUES[n:]
+    to_class = bytes(class_of) + pad
+    rep_rows = [rep.translate(bytes(A.arrow[r]) + pad) for r in reps]
+    lhs = b"".join(map(bytes, A.arrow))  # a->b
+    rhs = b"".join(map(rep_rows.__getitem__, class_of))  # rep(a)->rep(b)
+    if lhs.translate(to_class) != rhs.translate(to_class):
+        raise InternalInvariantError("theta_F not arrow-compatible")
 
 
 def quotient(A: FiniteHilbertAlgebra, F: int) -> QuotientResult:

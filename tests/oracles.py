@@ -15,9 +15,18 @@ from hilbertalg import (
     quotient,
     separate,
 )
-from hilbertalg.core import axioms_hold, bit, iter_bits, subset_of, term_width
+from hilbertalg.core import (
+    ValidationReport,
+    _check_entries,
+    axioms_hold,
+    bit,
+    iter_bits,
+    subset_of,
+    term_width,
+)
 from hilbertalg.depth_terms import _d_value
 from hilbertalg.enumeration import Poset, _closed_masks
+from hilbertalg.errors import RangeError
 
 
 def fan(m: int) -> FiniteHilbertAlgebra:
@@ -42,6 +51,47 @@ def capped_fan(m: int) -> FiniteHilbertAlgebra:
     return FiniteHilbertAlgebra.from_table(
         [[arrow(x, y) for y in range(m + 2)] for x in range(m + 2)]
     )
+
+
+# ---------------------------------------------------------------------------
+# validation
+
+
+def validate_by_cells(table) -> ValidationReport:
+    """validate, scanning S at every cell (a, b, c)."""
+    n = _check_entries(table)
+    t = table
+    top = t[0][0]
+    bad = []
+    for a in range(n):
+        if t[a][a] != top:
+            bad.append(("unit", (a,)))
+    for a in range(n):
+        for b in range(n):
+            if t[a][t[b][a]] != top:
+                bad.append(("K", (a, b)))
+            if a < b and t[a][b] == top and t[b][a] == top:
+                bad.append(("antisymmetry", (a, b)))
+            for c in range(n):
+                lhs = t[a][t[b][c]]
+                rhs = t[t[a][b]][t[a][c]]
+                if t[lhs][rhs] != top:
+                    bad.append(("S", (a, b, c)))
+    return ValidationReport(size=n, violations=tuple(bad))
+
+
+def check_order_by_cells(n: int, leq) -> None:
+    """Poset's order check, scanning every cell (a, b, c); raises
+    RangeError on the first cell that fails."""
+    for a in range(n):
+        if not leq[a][a]:
+            raise RangeError("leq is not reflexive")
+        for b in range(n):
+            if a != b and leq[a][b] and leq[b][a]:
+                raise RangeError("leq is not antisymmetric")
+            for c in range(n):
+                if leq[a][b] and leq[b][c] and not leq[a][c]:
+                    raise RangeError("leq is not transitive")
 
 
 # ---------------------------------------------------------------------------
@@ -280,3 +330,57 @@ def scanned_hilbert_classes(n: int) -> list:
         FiniteHilbertAlgebra.from_table([list(flat[a * n : (a + 1) * n]) for a in range(n)])
         for flat in found
     ]
+
+
+def backtracked_hilbert_classes(n: int) -> list:
+    """The canonical flat tables of the n-element Hilbert algebras, in
+    ascending order, by cell-by-cell backtracking over every order with
+    top n-1.
+
+    The order fixes a -> b = 1 for a <= b and 1 -> x = x.  Every other
+    cell a -> b takes a value strictly below the top in b's upset, as K
+    requires (b <= a -> b), so K and antisymmetry hold by construction.
+    After each cell, every S instance whose cells are all set is checked
+    as x -> (y -> z) <= (x -> y) -> (x -> z); instances with a top
+    index hold trivially.  Each complete table is canonicalised by
+    canonical_by_scan.
+    """
+    top = n - 1
+    found = set()
+    for order in _orders_with_top(n):
+        t = [[top if order[a][b] else None for b in range(n)] for a in range(n)]
+        t[top] = list(range(n))
+        cells = [(a, b) for a in range(top) for b in range(n) if t[a][b] is None]
+        domains = [[v for v in range(top) if order[b][v]] for _, b in cells]
+
+        def s_holds():
+            for x in range(top):
+                tx = t[x]
+                for y in range(top):
+                    r = tx[y]
+                    if r is None:
+                        continue
+                    tr, ty = t[r], t[y]
+                    for z in range(top):
+                        p, s = ty[z], tx[z]
+                        if p is None or s is None:
+                            continue
+                        q, m = tx[p], tr[s]
+                        if q is not None and m is not None and not order[q][m]:
+                            return False
+            return True
+
+        def fill(i):
+            if i == len(cells):
+                flat = tuple(v for row in t for v in row)
+                found.add(canonical_by_scan(flat, n, top))
+                return
+            a, b = cells[i]
+            for v in domains[i]:
+                t[a][b] = v
+                if s_holds():
+                    fill(i + 1)
+            t[a][b] = None
+
+        fill(0)
+    return sorted(found)

@@ -1,4 +1,7 @@
+import enum
 import itertools
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +26,12 @@ from hilbertalg import (
 from hilbertalg.core import iter_bits, mask_str
 from hilbertalg.errors import RangeError, UnboundVariableError
 from hilbertalg.enumeration import all_posets, enumerate_hilbert, heyting_from_poset
-from oracles import closure_by_rounds, satisfies_identity_by_eval_term
+from oracles import (
+    closure_by_rounds,
+    fan,
+    satisfies_identity_by_eval_term,
+    validate_by_cells,
+)
 
 # 3-chain 0 < a < 1 with the non-Goedel cell a -> 0 = a
 BAD_CHAIN = [[2, 2, 2], [1, 2, 2], [0, 1, 2]]
@@ -59,6 +67,80 @@ class TestValidate:
         report = validate([[0, 1], [0, 1]])
         assert not report.ok
         assert any(axiom == "unit" for axiom, _ in report.violations)
+
+
+class Element(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+class TestCheckEntries:
+    """A row that fails the C-level test is scanned entry by entry: the
+    error names its first bad entry, and int subclasses pass."""
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (True, "entry [1][1] = True out of range [0,3)"),
+            (1.0, "entry [1][1] = 1.0 out of range [0,3)"),
+            ("1", "entry [1][1] = '1' out of range [0,3)"),
+            (-1, "entry [1][1] = -1 out of range [0,3)"),
+            (3, "entry [1][1] = 3 out of range [0,3)"),
+        ],
+    )
+    def test_first_bad_entry_message(self, bad, message):
+        table = [[2, 2, 2], [0, bad, 7], [0, 1, 2]]
+        with pytest.raises(RangeError, match=re.escape(message)):
+            validate(table)
+
+    def test_int_subclass_accepted(self):
+        table = [[Element.ONE, Element.ONE], [Element.ZERO, Element.ONE]]
+        assert validate(table).ok
+        assert validate([[1, Element.ONE], [0, 1]]).ok
+
+
+def _mutations(table, rng):
+    """The table, one copy with a diagonal cell changed, and one copy
+    each with 1, 2 and 3 random cells changed."""
+    n = len(table)
+    out = [table]
+    if n > 1:
+        copy = [row[:] for row in table]
+        a = rng.randrange(n)
+        copy[a][a] = rng.choice([v for v in range(n) if v != table[a][a]])
+        out.append(copy)
+    for cells in (1, 2, 3):
+        copy = [row[:] for row in table]
+        for _ in range(cells):
+            copy[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        out.append(copy)
+    return out
+
+
+class TestValidateSameAsCellScan:
+    """validate's report, violations and their order included, equals a
+    scan of every cell (a, b, c)."""
+
+    def test_every_table_up_to_three(self):
+        for n in (1, 2, 3):
+            for flat in itertools.product(range(n), repeat=n * n):
+                table = [list(flat[a * n : (a + 1) * n]) for a in range(n)]
+                assert validate(table) == validate_by_cells(table), table
+
+    def test_algebras_and_mutations(self):
+        rng = random.Random(10)
+        algebras = [A for n in range(1, 6) for A in enumerate_hilbert(n)]
+        algebras += [
+            heyting_from_poset(P)[1] for k in range(6) for P in all_posets(k, True)
+        ]
+        algebras += [chain_algebra(m) for m in (4, 8, 16, 31, 63)] + [fan(63)]
+        invalid = 0
+        for A in algebras:
+            for table in _mutations([list(row) for row in A.arrow], rng):
+                report = validate(table)
+                assert report == validate_by_cells(table), table
+                invalid += not report.ok
+        assert invalid > 3 * len(algebras)
 
 
 class TestOrder:

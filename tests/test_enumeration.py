@@ -22,7 +22,13 @@ from hilbertalg.enumeration import (
     upsets,
 )
 from hilbertalg.errors import RangeError, SizeLimitError
-from oracles import canonical_by_scan, posets_by_relabelling, scanned_hilbert_classes
+from oracles import (
+    backtracked_hilbert_classes,
+    canonical_by_scan,
+    check_order_by_cells,
+    posets_by_relabelling,
+    scanned_hilbert_classes,
+)
 
 
 def brute_force_classes(n):
@@ -170,6 +176,12 @@ class TestEnumerateHilbert:
                     flat, n, n - 1
                 ), (n, flat)
 
+    @pytest.mark.slow
+    def test_same_as_backtracking_at_six(self):
+        mine = [sum(A.arrow, ()) for A in enumerate_hilbert(6, cap=6)]
+        assert len(mine) == 95
+        assert mine == backtracked_hilbert_classes(6)
+
     def test_dfs_oracle_agrees_at_four(self):
         oracle = dfs_classes(4)
         mine = enumerate_hilbert(4)
@@ -250,6 +262,41 @@ class TestPosets:
     def test_invalid_relation(self):
         with pytest.raises(RangeError):
             Poset(2, ((True, True), (True, True)))  # not antisymmetric
+
+    @staticmethod
+    def _verdict(check, *args):
+        try:
+            check(*args)
+        except (RangeError, IndexError) as exc:
+            return type(exc).__name__, str(exc)
+        return None
+
+    def test_order_check_same_as_cell_scan(self):
+        """Every boolean 3x3 relation and seeded 4x4 ones are accepted or
+        refused with the same message as a scan of every cell."""
+        rng = random.Random(12)
+        relations = [
+            (3, tuple(tuple(bits[3 * a : 3 * a + 3]) for a in range(3)))
+            for bits in itertools.product((False, True), repeat=9)
+        ]
+        for _ in range(2000):
+            relations.append(
+                (4, tuple(tuple(rng.random() < 0.5 for _ in range(4)) for _ in range(4)))
+            )
+        # orders plus one flipped cell: near misses, rare among random relations
+        for P in all_posets(4):
+            a, b = rng.randrange(4), rng.randrange(4)
+            rows = [list(row) for row in P.leq]
+            rows[a][b] = not rows[a][b]
+            relations.append((4, tuple(tuple(row) for row in rows)))
+        # rows shorter than the size are refused, as by the cell scan
+        relations += [(2, ((True,), (False, True))), (2, ((True, False), (True,)))]
+        verdicts = set()
+        for k, leq in relations:
+            expected = self._verdict(check_order_by_cells, k, leq)
+            assert self._verdict(Poset, k, leq) == expected, leq
+            verdicts.add(expected)
+        assert len(verdicts) == 5  # accepted, the three messages, a short row
 
 
 class TestHeytingFromPoset:

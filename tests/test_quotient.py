@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from hilbertalg import (
@@ -12,7 +14,8 @@ from hilbertalg import (
     theta,
     validate,
 )
-from hilbertalg.errors import NotAFilterError
+from hilbertalg.errors import InternalInvariantError, NotAFilterError
+from hilbertalg.quotient import _assert_congruence
 
 
 class TestTheta:
@@ -39,6 +42,40 @@ class TestTheta:
             for A in enumerate_hilbert(n):
                 for F in all_filters(A).filters:
                     theta(A, F)
+
+
+def _partitions(n):
+    """Each partition of 0..n-1 as class_of, blocks numbered by least
+    member."""
+    for class_of in itertools.product(range(n), repeat=n):
+        if all(c <= max(class_of[:i], default=-1) + 1 for i, c in enumerate(class_of)):
+            yield class_of
+
+
+class TestCompatibilityCheck:
+    def test_same_as_definition_on_every_partition(self):
+        """_assert_congruence refuses an equivalence exactly when some
+        a ~ a2, b ~ b2 give a->b and a2->b2 in different classes."""
+        refused = 0
+        for n in range(1, 5):
+            for A in enumerate_hilbert(n):
+                for class_of in _partitions(n):
+                    related = [[ca == cb for cb in class_of] for ca in class_of]
+                    reps = [class_of.index(c) for c in range(max(class_of) + 1)]
+                    compatible = all(
+                        class_of[A.arrow[a][b]] == class_of[A.arrow[a2][b2]]
+                        for a, a2, b, b2 in itertools.product(range(n), repeat=4)
+                        if related[a][a2] and related[b][b2]
+                    )
+                    if compatible:
+                        _assert_congruence(A, related, class_of, reps)
+                    else:
+                        refused += 1
+                        with pytest.raises(
+                            InternalInvariantError, match="theta_F not arrow-compatible"
+                        ):
+                            _assert_congruence(A, related, class_of, reps)
+        assert refused
 
 
 class TestQuotient:
