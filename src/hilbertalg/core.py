@@ -311,28 +311,21 @@ def satisfies_identity(A: FiniteHilbertAlgebra, t: Term):
 
 
 def generated_subuniverse(A: FiniteHilbertAlgebra, X: int) -> int:
-    """Least subset containing X and 1 that is closed under ->."""
-    return _extend_closed(A.arrow, bit(A.top), [A.top], iter_bits(X), A.size)[0]
+    """Least subset containing X and 1 that is closed under ->.
 
-
-def _extend_closed(arrow, closed: int, members: list, new, limit: int):
-    """Close `closed` plus the elements `new` under ->, or return None
-    once the result has more than `limit` elements.
-
-    `closed` must already be closed, with `members` listing it.  Pairs
-    inside it need no work, so each element x that joins is paired, both
-    ways, only with the members that joined before it and with itself:
-    every pair is computed once.  Returns the closure's mask and members.
+    Each element x that joins is paired, both ways, only with the
+    members that joined before it and with itself: every pair is
+    computed once.
     """
-    members = list(members)
-    done = len(members)
-    for a in new:
+    arrow = A.arrow
+    closed = bit(A.top)
+    members = [A.top]
+    for a in iter_bits(X):
         if not closed >> a & 1:
             closed |= 1 << a
             members.append(a)
+    done = 0
     while done < len(members):
-        if len(members) > limit:
-            return None
         x = members[done]
         row = arrow[x]
         done += 1
@@ -341,7 +334,7 @@ def _extend_closed(arrow, closed: int, members: list, new, limit: int):
                 if not closed >> v & 1:
                     closed |= 1 << v
                     members.append(v)
-    return closed, members
+    return closed
 
 
 def find_isomorphism(A: FiniteHilbertAlgebra, B: FiniteHilbertAlgebra):

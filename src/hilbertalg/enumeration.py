@@ -1,18 +1,17 @@
 """Isomorph-free exhaustive generation of finite Hilbert algebras, plus
 finite Heyting algebras built as upset algebras of posets.
 
-Hilbert algebras are the ->-subreducts of Heyting algebras, and the
-generator uses that definition.  A finite A embeds into the upset
-algebra Up(Spec A) by a |-> {M in Spec A : a in M} (Diego 1966; Celani,
-Cabrer and Montangie 2009).  The spectrum has at most n - 1 points when
-|A| = n: the column test in filters._build_spectrum gives at most one
-member per a != 1.  So every n-element algebra is, up to isomorphism,
-an n-element ->-closed subset of the reduct of Up(P) for a poset P with
-k < n points, and conversely every such subset is a Hilbert algebra.
-enumerate_hilbert collects those subsets for one P per isomorphism
-class, relabels each with its top at n-1, and keeps the canonical
-representative (lexicographically least table over the permutations
-fixing the top) of each class, computed once per distinct table.
+Every class of n >= 2 elements is a class of n - 1 elements plus one
+new minimal element.  K gives y <= x -> y.  So if z is minimal and
+x, y != z, then x -> y = z would give y <= z, so y = z: A - {z} is a
+subalgebra.  enumerate_hilbert(n) therefore grows the classes of size n
+from the class representatives of size n - 1, as _class_codes grows
+posets by a new maximal point.  Each representative gets a new element
+z, and a backtracking search (_grow) fills z's row and column, the only
+new cells.  Each table found is keyed by its canonical form (the
+lexicographically least table over the permutations fixing the top at
+n-1), computed once per distinct table, and the classes come out in
+ascending canonical-table order.
 """
 
 from __future__ import annotations
@@ -21,14 +20,18 @@ import os
 from dataclasses import dataclass
 from itertools import combinations, compress, permutations
 from operator import itemgetter
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .core import FiniteHilbertAlgebra, _extend_closed, bit, iter_bits, subset_of
+from .core import FiniteHilbertAlgebra, bit, iter_bits, subset_of
 from .errors import RangeError, SizeLimitError
 from .filters import depth
 
 DEFAULT_ENUM_CAP = 5
 ENUM_CAP_ENV = "HILBERT_SIZE_CAP"
+# The largest size enumerate_hilbert is measured to finish: size 7 takes
+# about 1 s and size 8 about 75 s (Python 3.11, one core).  Size 9 would
+# key each table over 8! relabellings.
+_MAX_ENUM_CAP = 8
 
 
 def enum_cap() -> int:
@@ -41,6 +44,11 @@ def enum_cap() -> int:
         cap = 0  # refused below, with the other values that are not positive
     if cap < 1:
         raise RangeError(f"{ENUM_CAP_ENV} must be a positive integer, got {raw!r}")
+    if cap > _MAX_ENUM_CAP:
+        raise RangeError(
+            f"{ENUM_CAP_ENV} must be at most {_MAX_ENUM_CAP}, the largest size "
+            f"the generator is measured to finish, got {raw!r}"
+        )
     return cap
 
 
@@ -276,27 +284,102 @@ def _canonical(flat: bytes, relabellers) -> tuple:
     return min(picker(flat.translate(values)) for picker, values in relabellers)
 
 
-def _closed_subsets(U: FiniteHilbertAlgebra, n: int) -> List[int]:
-    """The ->-closed subsets of U with n elements, as masks.
+def _grow(B: Sequence[int], m: int) -> Iterator[bytes]:
+    """The flat tables of the (m+1)-element Hilbert algebras A that have
+    a minimal element z with A - {z} equal to the m-element algebra B
+    (a flat table with top m-1).
 
-    Grown from {1} by adding one element and closing.  A closed S is
-    reached through closure{s1} <= closure{s1, s2} <= ... = S, none of
-    them larger than S, so a closure is abandoned once it passes n
-    elements.
+    In A, B's elements keep their labels, B's top moves to n-1 = m and z
+    is n-2.  Only row z, f(x) = z -> x, and column z, c(x) = x -> z, are
+    new.  Every rule below holds in every such A, so no A is lost:
+      - f(x) is in B and x <= f(x) for x in B.  K gives x <= z -> x; if
+        z -> x were z, then x <= z, so x = z as z is minimal.
+      - f is an idempotent homomorphism of B.  S holds with equality
+        (Diego 1966), so z->(x->y) = (z->x)->(z->y), and
+        z->(z->x) = (z->z)->(z->x) = 1 -> f(x) = f(x).
+      - c(x) >= z, and c(x) != 1 for x != 1.  K gives z <= x -> z, and
+        x -> z = 1 would put x <= z, so x = z.
+    The rules are checked as cells are set, on the triples that read
+    them, and together they are the axioms for the triples that meet z
+    (the others lie in B, which is an algebra), so every table yielded
+    is a Hilbert algebra:
+      - unit: z -> z = 1 is set; antisymmetry with z is c(x) != 1;
+      - K: x->(z->x) = 1 is x <= f(x), and z->(x->z) = 1 is c(x) >= z;
+      - S at (z, x, y) is the homomorphism law, at (z, z, y)
+        idempotence, at (z, x, z) K again; S at (x, z, z) and every
+        instance with 1 in some position hold in any table with
+        a -> a = a -> 1 = 1 and 1 -> a = a;
+      - S at (x, z, y), x->f(y) = c(x)->(x->y), reads only f and c(x),
+        so it filters each cell's values once f is set;
+      - S at (x, y, z), x->c(y) = (x->y)->c(x), is checked for each
+        pair once both cells are set.
+    B's elements are filled from the top down, each after every element
+    above it.  As x->y >= y, the cells a pair reads are then set when
+    the pair is checked.
     """
-    start = bit(U.top)
-    seen = {start}
-    frontier = [(start, [U.top])]
-    while frontier:
-        S, members = frontier.pop()
-        for a in range(U.size):
-            if S >> a & 1:
+    n = m + 1
+    z, top = m - 1, m
+    labels = list(range(z)) + [top]  # B's element b is labels[b] in A
+    t = [[top] * n for _ in range(n)]
+    for a, la in enumerate(labels):
+        row = t[la]
+        for b, lb in enumerate(labels):
+            row[lb] = labels[B[a * m + b]]
+    t[top][z] = z
+    f = t[z]  # z -> x, filled in place; z -> z = z -> 1 = 1 already
+    up = [[y for y in labels if t[x][y] == top] for x in range(z)]
+    order = sorted(range(z), key=lambda x: len(up[x]))
+
+    def columns(i, values, done):
+        if i == len(order):
+            yield bytes(v for row in t for v in row)
+            return
+        x = order[i]
+        tx = t[x]
+        done = done + [x]
+        for w in values[i]:
+            tx[z] = w
+            if all(
+                tx[t[y][z]] == t[tx[y]][w] and t[y][w] == t[t[y][x]][t[y][z]]
+                for y in done
+            ):
+                yield from columns(i + 1, values, done)
+
+    def rows(i, done):
+        if i == len(order):
+            above = [z] + [w for w in order if f[w] == top]
+            values = [
+                [w for w in above if all(t[x][f[y]] == t[w][t[x][y]] for y in order)]
+                for x in order
+            ]
+            if all(values):
+                yield from columns(0, values, [])
+            return
+        x = order[i]
+        tx = t[x]
+        done = done + [x]
+        for w in up[x]:
+            if w != x and f[w] != w:
                 continue
-            grown = _extend_closed(U.arrow, S, members, (a,), n)
-            if grown is not None and grown[0] not in seen:
-                seen.add(grown[0])
-                frontier.append(grown)
-    return [S for S in seen if S.bit_count() == n]
+            f[x] = w
+            tw = t[w]
+            if all(f[tx[y]] == tw[f[y]] and f[t[y][x]] == t[f[y]][w] for y in done):
+                yield from rows(i + 1, done)
+
+    yield from rows(0, [])
+
+
+def _class_tables(n: int) -> List[tuple]:
+    """The canonical flat tables of the n-element Hilbert algebras,
+    ascending, each class grown from a class of n - 1 elements."""
+    if n == 1:
+        return [(0,)]
+    relabellers = _table_relabellers(n)
+    found = set()
+    for B in _class_tables(n - 1):
+        for flat in _grow(B, n - 1):
+            found.add(_canonical(flat, relabellers))
+    return sorted(found)
 
 
 def enumerate_hilbert(
@@ -310,19 +393,9 @@ def enumerate_hilbert(
         cap = enum_cap()
     if n > cap:
         raise SizeLimitError(f"size {n} exceeds enumeration cap {cap}")
-    tables = set()
-    for k in range(n):
-        for P in all_posets(k, up_to_iso=True):
-            _, U = heyting_from_poset(P)
-            for S in _closed_subsets(U, n):
-                members = list(iter_bits(S))  # U's top is its last element
-                index = {x: i for i, x in enumerate(members)}
-                tables.add(bytes(index[U.arrow[x][y]] for x in members for y in members))
-    relabellers = _table_relabellers(n)
-    found = {_canonical(flat, relabellers) for flat in tables}
     return [
         FiniteHilbertAlgebra.from_table(
             [list(flat[a * n : (a + 1) * n]) for a in range(n)]
         )
-        for flat in sorted(found)
+        for flat in _class_tables(n)
     ]

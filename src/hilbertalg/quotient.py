@@ -8,7 +8,7 @@ from typing import Dict, Tuple
 
 from .core import _BYTE_VALUES, FiniteHilbertAlgebra, bit, iter_bits
 from .errors import InternalInvariantError, InvalidAlgebraError, NotAFilterError
-from .filters import all_filters, is_implicative_filter
+from .filters import all_filters
 
 
 @dataclass(frozen=True)
@@ -24,40 +24,60 @@ class QuotientResult:
 
 
 def theta(A: FiniteHilbertAlgebra, F: int) -> Congruence:
-    """Partition of A by a ~ b iff a->b and b->a both lie in F."""
-    if not is_implicative_filter(A, F):
+    """Partition of A by a ~ b iff a->b and b->a both lie in F.
+
+    The class of a is the mask R[a] & T[a], where R[a] holds the b with
+    a->b in F (row a of the table) and T[a] the b with b->a in F
+    (column a).  The table is translated once into the digits "1" (in
+    F) and "0" and reversed, so that each row and column is a slice that
+    int(_, 2) reads as its mask.  F is an implicative filter iff it
+    holds 1 and R[a] lies inside F for every a in F, which is modus
+    ponens with a as the premise.
+    """
+    n = A.size
+    digits = format(F, f"0{n}b")[::-1][:n].encode() + _BYTE_VALUES[n:]
+    bits = b"".join(map(bytes, A.arrow)).translate(digits)[::-1]
+    # bits[k*n : (k+1)*n] is row n-1-k and bits[k::n] column n-1-k.
+    rows = [int(bits[k : k + n], 2) for k in range(0, n * n, n)][::-1]
+    if not F >> A.top & 1 or any(rows[a] & ~F for a in iter_bits(F)):
         raise NotAFilterError(f"mask {F:#x} is not an implicative filter")
-    n = A.size
-    related = [
-        [F >> A.arrow[a][b] & 1 and F >> A.arrow[b][a] & 1 for b in range(n)]
-        for a in range(n)
-    ]
-    class_of = [-1] * n
-    blocks = []
-    reps = []  # the element that opened each block, its least member
-    for a in range(n):
-        if class_of[a] >= 0:
-            continue
-        members = [b for b in range(n) if related[a][b]]
-        idx = len(blocks)
-        for b in members:
-            class_of[b] = idx
-        blocks.append(sum(bit(b) for b in members))
-        reps.append(a)
-    _assert_congruence(A, related, class_of, reps)
-    return Congruence(blocks=tuple(blocks), class_of=tuple(class_of))
+    cols = [int(bits[k::n], 2) for k in range(n)][::-1]
+    related = list(map(int.__and__, rows, cols))
+    index = {}  # each distinct class mask, in order of its least member
+    class_of = [index.setdefault(r, len(index)) for r in related]
+    blocks = tuple(index)
+    _assert_congruence(A, related, class_of, blocks)
+    return Congruence(blocks=blocks, class_of=tuple(class_of))
 
 
-def _assert_congruence(A, related, class_of, reps):
+def _assert_congruence(A, related, class_of, blocks):
+    """Check that the relation with rows `related` (masks) is a
+    congruence, with class_of[a] the index in `blocks` of related[a].
+
+    A relation is an equivalence iff it is reflexive and every b in
+    related[a] has related[b] == related[a].  Given an equivalence,
+    b ~ a puts b in a's class, so the rows are equal.  Conversely, b in
+    related[a] gives related[b] = related[a], which holds a (symmetry)
+    and every c in related[b] (transitivity).  For a reflexive relation
+    the second condition says that each block, a distinct row, equals
+    the set of elements with that row: a member a of the block lies in
+    it, and every b in it must have the block as its row.
+    """
     n = A.size
     for a in range(n):
-        if not related[a][a]:
+        if not related[a] >> a & 1:
             raise InternalInvariantError("theta_F is not reflexive")
-        for b in range(n):
-            if related[a][b] != related[b][a]:
+    held = [0] * len(blocks)
+    for a in range(n):
+        held[class_of[a]] |= 1 << a
+    for block, members in zip(blocks, held):
+        if block != members:
+            a = (members & -members).bit_length() - 1
+            b = (block & ~members).bit_length() - 1  # in a's row, not its block
+            if not related[b] >> a & 1:
                 raise InternalInvariantError("theta_F is not symmetric")
-            if related[a][b] and class_of[a] != class_of[b]:
-                raise InternalInvariantError("theta_F is not transitive")
+            raise InternalInvariantError("theta_F is not transitive")
+    reps = [(block & -block).bit_length() - 1 for block in blocks]
     # Compatibility: a ~ a2 and b ~ b2 imply class(a->b) == class(a2->b2).
     # It suffices to check class(a->b) == class(rep(a)->rep(b)) for all a, b,
     # where rep(a) = reps[class(a)].  That is the case a2 = rep(a),

@@ -12,10 +12,12 @@ from hilbertalg import (
     correspondence_check,
     eval_term,
     fg_closure,
+    heyting_from_poset,
     quotient,
     separate,
 )
 from hilbertalg.core import (
+    _BYTE_VALUES,
     ValidationReport,
     _check_entries,
     axioms_hold,
@@ -25,8 +27,10 @@ from hilbertalg.core import (
     term_width,
 )
 from hilbertalg.depth_terms import _d_value
-from hilbertalg.enumeration import Poset, _closed_masks
-from hilbertalg.errors import RangeError
+from hilbertalg.enumeration import Poset, _canonical, _closed_masks, _table_relabellers
+from hilbertalg.errors import InternalInvariantError, NotAFilterError, RangeError
+from hilbertalg.filters import is_implicative_filter
+from hilbertalg.quotient import Congruence
 
 
 def fan(m: int) -> FiniteHilbertAlgebra:
@@ -173,6 +177,65 @@ def one_upper_cover_spectrum(A: FiniteHilbertAlgebra) -> tuple:
         if extensions and reduce(and_, extensions) in extensions:
             out.append(F)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# quotients
+
+
+def theta_by_cells(A: FiniteHilbertAlgebra, F: int) -> Congruence:
+    """quotient.theta with the relation built as an n x n matrix of bools
+    and checked cell by cell."""
+    if not is_implicative_filter(A, F):
+        raise NotAFilterError(f"mask {F:#x} is not an implicative filter")
+    n = A.size
+    related = [
+        [F >> A.arrow[a][b] & 1 and F >> A.arrow[b][a] & 1 for b in range(n)]
+        for a in range(n)
+    ]
+    class_of = [-1] * n
+    blocks = []
+    reps = []  # the element that opened each block, its least member
+    for a in range(n):
+        if class_of[a] >= 0:
+            continue
+        members = [b for b in range(n) if related[a][b]]
+        idx = len(blocks)
+        for b in members:
+            class_of[b] = idx
+        blocks.append(sum(bit(b) for b in members))
+        reps.append(a)
+    _assert_congruence_by_cells(A, related, class_of, reps)
+    return Congruence(blocks=tuple(blocks), class_of=tuple(class_of))
+
+
+def _assert_congruence_by_cells(A, related, class_of, reps):
+    n = A.size
+    for a in range(n):
+        if not related[a][a]:
+            raise InternalInvariantError("theta_F is not reflexive")
+        for b in range(n):
+            if related[a][b] != related[b][a]:
+                raise InternalInvariantError("theta_F is not symmetric")
+            if related[a][b] and class_of[a] != class_of[b]:
+                raise InternalInvariantError("theta_F is not transitive")
+    # Compatibility: a ~ a2 and b ~ b2 imply class(a->b) == class(a2->b2).
+    # It suffices to check class(a->b) == class(rep(a)->rep(b)) for all a, b,
+    # where rep(a) = reps[class(a)].  That is the case a2 = rep(a),
+    # b2 = rep(b) of the full check, since rep(a) ~ a.  Conversely, it gives
+    # the full check: class_of is a function, so a ~ a2 means
+    # rep(a) = rep(a2), and both sides equal class(rep(a)->rep(b)).
+    # Both sides are compared as byte strings over all (a, b), built with
+    # bytes.translate.  Row a of the right side depends on a only through
+    # rep(a), so it is built once per block.
+    rep = bytes(map(reps.__getitem__, class_of))
+    pad = _BYTE_VALUES[n:]
+    to_class = bytes(class_of) + pad
+    rep_rows = [rep.translate(bytes(A.arrow[r]) + pad) for r in reps]
+    lhs = b"".join(map(bytes, A.arrow))  # a->b
+    rhs = b"".join(map(rep_rows.__getitem__, class_of))  # rep(a)->rep(b)
+    if lhs.translate(to_class) != rhs.translate(to_class):
+        raise InternalInvariantError("theta_F not arrow-compatible")
 
 
 # ---------------------------------------------------------------------------
@@ -384,3 +447,78 @@ def backtracked_hilbert_classes(n: int) -> list:
 
         fill(0)
     return sorted(found)
+
+
+def _extend_closed(arrow, closed: int, members: list, a: int, limit: int):
+    """Close the closed set `closed` (listed by `members`) plus a under
+    ->, or return None once the result has more than `limit` elements.
+    Each element that joins is paired, both ways, only with the members
+    that joined before it and with itself."""
+    if closed >> a & 1:
+        return closed, members
+    members = members + [a]
+    closed |= 1 << a
+    done = len(members) - 1
+    while done < len(members):
+        if len(members) > limit:
+            return None
+        x = members[done]
+        row = arrow[x]
+        done += 1
+        for y in members[:done]:
+            for v in (row[y], arrow[y][x]):
+                if not closed >> v & 1:
+                    closed |= 1 << v
+                    members.append(v)
+    return closed, members
+
+
+def closed_subsets(U: FiniteHilbertAlgebra, n: int) -> list:
+    """The ->-closed subsets of U with n elements, as masks.
+
+    Grown from {1} by adding one element and closing.  A closed S is
+    reached through closure{s1} <= closure{s1, s2} <= ... = S, none of
+    them larger than S, so a closure is abandoned once it passes n
+    elements.
+    """
+    start = bit(U.top)
+    seen = {start}
+    frontier = [(start, [U.top])]
+    while frontier:
+        S, members = frontier.pop()
+        for a in range(U.size):
+            if S >> a & 1:
+                continue
+            grown = _extend_closed(U.arrow, S, members, a, n)
+            if grown is not None and grown[0] not in seen:
+                seen.add(grown[0])
+                frontier.append(grown)
+    return [S for S in seen if S.bit_count() == n]
+
+
+def closure_hilbert_classes(n: int) -> list:
+    """enumerate_hilbert from the definition of Hilbert algebras as the
+    ->-subreducts of Heyting algebras.
+
+    A finite A embeds into the upset algebra Up(Spec A) by
+    a |-> {M in Spec A : a in M} (Diego 1966), and the spectrum has at
+    most n - 1 points when |A| = n: filters._build_spectrum's column
+    test gives at most one member per a != 1.  So every n-element class
+    is an n-element ->-closed subset of the reduct of Up(P) for some
+    poset P with k < n points, one P per isomorphism class.  Each such
+    subset is relabelled with its top at n-1 and keyed by _canonical.
+    """
+    tables = set()
+    for k in range(n):
+        for P in all_posets(k, up_to_iso=True):
+            _, U = heyting_from_poset(P)
+            for S in closed_subsets(U, n):
+                members = list(iter_bits(S))  # U's top is its last element
+                index = {x: i for i, x in enumerate(members)}
+                tables.add(bytes(index[U.arrow[x][y]] for x in members for y in members))
+    relabellers = _table_relabellers(n)
+    found = {_canonical(flat, relabellers) for flat in tables}
+    return [
+        FiniteHilbertAlgebra.from_table([list(flat[a * n : (a + 1) * n]) for a in range(n)])
+        for flat in sorted(found)
+    ]

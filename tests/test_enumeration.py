@@ -1,10 +1,14 @@
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hilbertalg import (
     FiniteHilbertAlgebra,
+    cli,
     all_posets,
     depth,
     enumerate_hilbert,
@@ -14,11 +18,14 @@ from hilbertalg import (
     validate,
 )
 from hilbertalg.core import axioms_hold, iter_bits
+from hilbertalg import enumeration
 from hilbertalg.enumeration import (
     Poset,
     _canonical,
-    _closed_subsets,
+    _class_tables,
+    _grow,
     _table_relabellers,
+    enum_cap,
     upsets,
 )
 from hilbertalg.errors import RangeError, SizeLimitError
@@ -26,6 +33,8 @@ from oracles import (
     backtracked_hilbert_classes,
     canonical_by_scan,
     check_order_by_cells,
+    closed_subsets,
+    closure_hilbert_classes,
     posets_by_relabelling,
     scanned_hilbert_classes,
 )
@@ -146,17 +155,50 @@ class TestEnumerateHilbert:
             mine = [A.arrow for A in enumerate_hilbert(n)]
             assert mine == [A.arrow for A in scanned_hilbert_classes(n)], n
 
+    def test_same_as_closure_generator(self):
+        for n in range(1, 7):
+            mine = [A.arrow for A in enumerate_hilbert(n, cap=6)]
+            assert mine == [A.arrow for A in closure_hilbert_classes(n)], n
+
+    @pytest.mark.slow
+    def test_same_as_closure_generator_at_seven(self):
+        mine = [A.arrow for A in enumerate_hilbert(7, cap=7)]
+        assert len(mine) == 550
+        assert mine == [A.arrow for A in closure_hilbert_classes(7)]
+
+    def test_grown_tables_are_algebras_with_the_seed_below(self):
+        """Every table _grow yields is a Hilbert algebra with n-2 minimal
+        and the seed on the other elements, and no table comes twice."""
+        for n in range(2, 7):
+            m = n - 1
+            labels = list(range(m - 1)) + [n - 1]
+            for B in _class_tables(m):
+                grown = list(_grow(B, m))
+                assert len(set(grown)) == len(grown)
+                for flat in grown:
+                    table = [list(flat[a * n : (a + 1) * n]) for a in range(n)]
+                    assert validate(table).ok
+                    assert all(table[x][n - 2] != n - 1 for x in range(n - 1) if x != n - 2)
+                    assert all(
+                        table[labels[a]][labels[b]] == labels[B[a * m + b]]
+                        for a in range(m)
+                        for b in range(m)
+                    )
+
     def test_canonical_same_as_permutation_scan(self):
-        """On every closed-set table enumerate_hilbert keys, and on seeded
-        relabellings of each (top kept at n-1)."""
+        """On every table enumerate_hilbert keys, on every closed-set table
+        the closure generator keys, and on seeded relabellings of each
+        (top kept at n-1)."""
         rng = random.Random(9)
         for n in range(1, 6):
             relabellers = _table_relabellers(n)
             tables = []
+            if n > 1:
+                tables += [tuple(t) for B in _class_tables(n - 1) for t in _grow(B, n - 1)]
             for k in range(n):
                 for P in all_posets(k, up_to_iso=True):
                     _, U = heyting_from_poset(P)
-                    for S in _closed_subsets(U, n):
+                    for S in closed_subsets(U, n):
                         members = list(iter_bits(S))
                         index = {x: i for i, x in enumerate(members)}
                         flat = tuple(index[U.arrow[x][y]] for x in members for y in members)
@@ -223,6 +265,38 @@ class TestEnumerateHilbert:
         monkeypatch.setenv("HILBERT_SIZE_CAP", raw)
         with pytest.raises(RangeError):
             enumerate_hilbert(3)
+
+    def test_cap_above_measured_limit_refused_before_generation(
+        self, monkeypatch, capsys
+    ):
+        def refuse(n):
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr(enumeration, "_class_tables", refuse)
+        monkeypatch.setenv("HILBERT_SIZE_CAP", "9")
+        with pytest.raises(RangeError, match="at most 8"):
+            enum_cap()
+        with pytest.raises(RangeError, match="at most 8"):
+            enumerate_hilbert(3)
+        assert cli.main(["enumerate", "9"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: HILBERT_SIZE_CAP must be at most 8")
+        assert err.count("\n") == 1
+        monkeypatch.setenv("HILBERT_SIZE_CAP", "8")
+        assert enum_cap() == 8
+
+    def test_benchmark_corpus_check(self):
+        """The benchmark's corpus pins digests of enumerate_hilbert(n),
+        order included, for n = 1..5."""
+        root = Path(__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "make_corpus.py"), "--check"],
+            cwd=root,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
 
     def test_bad_size(self):
         with pytest.raises(RangeError):

@@ -4,10 +4,12 @@ import pytest
 
 from hilbertalg import (
     all_filters,
+    all_posets,
     chain_algebra,
     correspondence_check,
     enumerate_hilbert,
     find_isomorphism,
+    heyting_from_poset,
     meet_irreducibles,
     quotient,
     subset_of,
@@ -16,6 +18,7 @@ from hilbertalg import (
 )
 from hilbertalg.errors import InternalInvariantError, NotAFilterError
 from hilbertalg.quotient import _assert_congruence
+from oracles import theta_by_cells
 
 
 class TestTheta:
@@ -36,6 +39,27 @@ class TestTheta:
         with pytest.raises(NotAFilterError):
             theta(chain3, subset_of([0, 2]))
 
+    def test_same_as_cell_by_cell_theta(self):
+        """On every filter of the algebras with <= 5 elements and of the
+        upset reducts of the 5-point posets."""
+        algebras = [A for n in range(1, 6) for A in enumerate_hilbert(n)]
+        algebras += [heyting_from_poset(P)[1] for P in all_posets(5, up_to_iso=True)]
+        for A in algebras:
+            for F in all_filters(A).filters:
+                assert theta(A, F) == theta_by_cells(A, F)
+
+    def test_refuses_the_masks_cell_by_cell_theta_refuses(self):
+        for n in range(1, 5):
+            for A in enumerate_hilbert(n):
+                for F in range(1 << n):
+                    try:
+                        expected = theta_by_cells(A, F)
+                    except NotAFilterError:
+                        with pytest.raises(NotAFilterError):
+                            theta(A, F)
+                    else:
+                        assert theta(A, F) == expected
+
     def test_congruence_laws_exhaustive(self):
         # reflexive/symmetric/transitive/compatible checked inside theta
         for n in range(1, 5):
@@ -52,6 +76,35 @@ def _partitions(n):
             yield class_of
 
 
+class TestEquivalenceCheck:
+    def test_refuses_exactly_the_non_equivalences(self):
+        """Every relation on up to 3 elements and every reflexive one on 4,
+        with the blocks theta would form, one per distinct row: the
+        reflexive, symmetric and transitive checks pass exactly on the
+        equivalences."""
+        for n in range(1, 5):
+            A = chain_algebra(n - 1) if n > 1 else enumerate_hilbert(1)[0]
+            cells = [(a, b) for a in range(n) for b in range(n) if n < 4 or a != b]
+            for bits in itertools.product((0, 1), repeat=len(cells)):
+                rel = {cell for cell, on in zip(cells, bits) if on}
+                if n == 4:
+                    rel |= {(a, a) for a in range(n)}
+                related = [subset_of(b for b in range(n) if (a, b) in rel) for a in range(n)]
+                index = {}
+                class_of = [index.setdefault(r, len(index)) for r in related]
+                equivalence = all((a, a) in rel for a in range(n)) and all(
+                    (b, a) in rel and ((a, c) in rel) == ((b, c) in rel)
+                    for a, b in rel
+                    for c in range(n)
+                )
+                try:
+                    _assert_congruence(A, related, class_of, tuple(index))
+                    verdict = True
+                except InternalInvariantError as exc:
+                    verdict = "compatible" in str(exc)
+                assert verdict == equivalence, rel
+
+
 class TestCompatibilityCheck:
     def test_same_as_definition_on_every_partition(self):
         """_assert_congruence refuses an equivalence exactly when some
@@ -60,21 +113,27 @@ class TestCompatibilityCheck:
         for n in range(1, 5):
             for A in enumerate_hilbert(n):
                 for class_of in _partitions(n):
-                    related = [[ca == cb for cb in class_of] for ca in class_of]
-                    reps = [class_of.index(c) for c in range(max(class_of) + 1)]
+                    related = [
+                        subset_of(b for b, cb in enumerate(class_of) if cb == ca)
+                        for ca in class_of
+                    ]
+                    blocks = [
+                        subset_of(a for a, ca in enumerate(class_of) if ca == c)
+                        for c in range(max(class_of) + 1)
+                    ]
                     compatible = all(
                         class_of[A.arrow[a][b]] == class_of[A.arrow[a2][b2]]
                         for a, a2, b, b2 in itertools.product(range(n), repeat=4)
-                        if related[a][a2] and related[b][b2]
+                        if class_of[a] == class_of[a2] and class_of[b] == class_of[b2]
                     )
                     if compatible:
-                        _assert_congruence(A, related, class_of, reps)
+                        _assert_congruence(A, related, class_of, blocks)
                     else:
                         refused += 1
                         with pytest.raises(
                             InternalInvariantError, match="theta_F not arrow-compatible"
                         ):
-                            _assert_congruence(A, related, class_of, reps)
+                            _assert_congruence(A, related, class_of, blocks)
         assert refused
 
 
