@@ -8,7 +8,6 @@ import pytest
 
 from hilbertalg import (
     FiniteHilbertAlgebra,
-    cli,
     all_posets,
     depth,
     enumerate_hilbert,
@@ -17,8 +16,8 @@ from hilbertalg import (
     reduct_depth_vs_poset,
     validate,
 )
+from hilbertalg import cli, enumeration
 from hilbertalg.core import axioms_hold, iter_bits
-from hilbertalg import enumeration
 from hilbertalg.enumeration import (
     Poset,
     _canonical,
