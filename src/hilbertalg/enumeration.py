@@ -12,12 +12,18 @@ new cells.  Each table found is keyed by its canonical form (the
 lexicographically least table over the permutations fixing the top at
 n-1), computed once per distinct table, and the classes come out in
 ascending canonical-table order.
+
+Both ladders, the canonical tables of each size and the least poset
+codes of each number of points, are cached as tuples: each level is
+built once per process.  enumerate_hilbert and all_posets still build
+new, validated objects on every call.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, compress, permutations
 from operator import itemgetter
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
@@ -63,15 +69,16 @@ class Poset:
 
     def __post_init__(self):
         n, leq = self.size, self.leq
+        if len(leq) != n or any(len(row) != n for row in leq):
+            raise RangeError(f"leq must have {n} rows of {n} entries")
         r = range(n)
         up = [subset_of(compress(r, leq[a])) for a in r]
         for a in r:
             # Row a holds iff a <= a and each b >= a has its up-set inside
-            # a's and, unless b = a, is not <= a.  A row that fails, or is
-            # not n long, is scanned cell by cell, which raises on its
-            # first bad cell.
+            # a's and, unless b = a, is not <= a.  A row that fails is
+            # scanned cell by cell, which raises on its first bad cell.
             row, ua = leq[a], up[a]
-            if len(row) == n and ua >> a & 1:
+            if ua >> a & 1:
                 for b in compress(r, row):
                     if up[b] & ~ua or b != a and up[b] >> a & 1:
                         break
@@ -151,26 +158,93 @@ def _down_masks(k: int, code: tuple) -> tuple:
     return tuple(down)
 
 
-def _class_codes(k: int) -> List[tuple]:
+def _least_code(down) -> tuple:
+    """The least code over all labellings of the poset with principal
+    down-set masks `down` (see all_posets), found by partition refinement
+    (McKay, "Practical graph isomorphism", 1981).
+
+    The pairs (a, b) come in lexicographic order, so the code is row 0,
+    then row 1, and so on, where row a lists the values at (a, b) for
+    b > a.  Labels are given one at a time.  A state is an ordered list of
+    cells, masks of the points not yet labelled, each cell holding the
+    points with one relation to every labelled point; the labels still
+    free are dealt to the cells in order.  Label a goes to a point x of
+    the first cell.  Within each cell, the least row a puts the points
+    incomparable to x (value 0) first, then those above x (1), then those
+    below x (2), so choosing x fixes row a and splits each cell into
+    those three, in that order.  Every labelling whose code starts with
+    the least rows 0..a-1 agrees with some state kept at level a, and
+    the labellings that agree with one state differ on row a only
+    through x and the order within cells.  So the least row a over all
+    of them is the least over the states and their choices of x, and
+    keeping just the states that reach it, level by level, is exact.
+    Only the cells decide what a state can still reach, so states with
+    equal cells are kept once.  Points with equal strict up-sets and
+    down-sets (twins) are incomparable and lie in one cell while both
+    are unlabelled, and swapping them is an automorphism that fixes the
+    labelled points and every cell; so only one of each set of twins in
+    the first cell is tried.
+    """
+    k = len(down)
+    up = [subset_of(y for y in range(k) if down[y] >> x & 1) for x in range(k)]
+    twin = [(down[x] ^ bit(x), up[x] ^ bit(x)) for x in range(k)]
+    code = ()
+    states = {(bit(k) - 1,)}
+    for _ in range(k - 1):
+        least, refined = None, set()
+        for head, *tail in states:
+            tried = set()
+            for x in iter_bits(head):
+                if twin[x] in tried:
+                    continue
+                tried.add(twin[x])
+                ux, dx = up[x], down[x]
+                row, cells = [], []
+                for cell in (head ^ bit(x), *tail):
+                    for value, part in enumerate((cell & ~(ux | dx), cell & ux, cell & dx)):
+                        if part:
+                            cells.append(part)
+                            row += [value] * part.bit_count()
+                row = tuple(row)
+                if least is None or row < least:
+                    least, refined = row, {tuple(cells)}
+                elif row == least:
+                    refined.add(tuple(cells))
+        code += least
+        states = refined
+    return code
+
+
+@cache
+def _class_codes(k: int) -> Tuple[tuple, ...]:
     """The least code of each isomorphism class of k-point posets,
     ascending.
 
-    Every k-poset loses a maximal point to a (k-1)-poset isomorphic to a
-    class representative, so each class has a member that is a
-    representative on k-1 points plus a new maximal point k-1 above one
-    of its down-sets.  Those candidates meet every class; the least code
-    over their k! relabellings is the class's least code.
+    Every class is reached by a representative on k-1 points plus a new
+    maximal point k-1 above one of its down-sets, where the new point's
+    principal down-set is a largest among the maximal points: delete
+    from any k-poset a maximal point m with a largest down-set, and the
+    rest is isomorphic to a representative, with m above the image of
+    its down-set and the other maximal points keeping theirs.  Candidates
+    whose new point has a smaller down-set than a maximal point outside
+    it are skipped.  Each candidate is keyed by _least_code.  Cached:
+    each level is built once per process from the one below.
     """
     if k == 0:
-        return [()]
-    relabellers = _code_relabellers(k)
+        return ((),)
     codes = set()
     for code in _class_codes(k - 1):
         down = _down_masks(k - 1, code)
+        tops = [
+            (y, down[y].bit_count())
+            for y in range(k - 1)
+            if not any(z != y and down[z] >> y & 1 for z in range(k - 1))
+        ]
         for below in _closed_masks(down):
-            flat = _flat_relation(down + (below | bit(k - 1),))
-            codes.add(min(relabel(flat) for relabel in relabellers))
-    return sorted(codes)
+            size = below.bit_count() + 1
+            if all(below >> y & 1 or s <= size for y, s in tops):
+                codes.add(_least_code(down + (below | bit(k - 1),)))
+    return tuple(sorted(codes))
 
 
 def all_posets(k: int, up_to_iso: bool = False) -> List[Poset]:
@@ -183,6 +257,8 @@ def all_posets(k: int, up_to_iso: bool = False) -> List[Poset]:
     of its class's representative, so relabelling those reaches every
     code.
     """
+    if k < 0:
+        raise RangeError("number of points must be at least 0")
     codes = _class_codes(k)
     if not up_to_iso:
         relabellers = _code_relabellers(k)
@@ -369,17 +445,19 @@ def _grow(B: Sequence[int], m: int) -> Iterator[bytes]:
     yield from rows(0, [])
 
 
-def _class_tables(n: int) -> List[tuple]:
+@cache
+def _class_tables(n: int) -> Tuple[tuple, ...]:
     """The canonical flat tables of the n-element Hilbert algebras,
-    ascending, each class grown from a class of n - 1 elements."""
+    ascending, each class grown from a class of n - 1 elements.  Cached:
+    each size is built once per process from the one below."""
     if n == 1:
-        return [(0,)]
+        return ((0,),)
     relabellers = _table_relabellers(n)
     found = set()
     for B in _class_tables(n - 1):
         for flat in _grow(B, n - 1):
             found.add(_canonical(flat, relabellers))
-    return sorted(found)
+    return tuple(sorted(found))
 
 
 def enumerate_hilbert(

@@ -27,7 +27,15 @@ from hilbertalg.core import (
     term_width,
 )
 from hilbertalg.depth_terms import _d_value
-from hilbertalg.enumeration import Poset, _canonical, _closed_masks, _table_relabellers
+from hilbertalg.enumeration import (
+    Poset,
+    _canonical,
+    _closed_masks,
+    _code_relabellers,
+    _down_masks,
+    _flat_relation,
+    _table_relabellers,
+)
 from hilbertalg.errors import InternalInvariantError, NotAFilterError, RangeError
 from hilbertalg.filters import is_implicative_filter
 from hilbertalg.quotient import Congruence
@@ -332,6 +340,29 @@ def posets_by_relabelling(k: int) -> list:
                 m[b][a] = True
         out.append(Poset(size=k, leq=tuple(tuple(row) for row in m)))
     return out
+
+
+def least_code_by_scan(down, relabellers) -> tuple:
+    """The least code of the poset with principal down-set masks `down`
+    over the relabellers of all k! permutations (_code_relabellers(k))."""
+    flat = _flat_relation(down)
+    return min(relabel(flat) for relabel in relabellers)
+
+
+def scanned_class_codes(k: int) -> list:
+    """The least code of each class of k-point posets, ascending: every
+    class representative on k - 1 points gets a new maximal point above
+    each of its down-sets, and each candidate is keyed by its least code
+    over all k! relabellings."""
+    if k == 0:
+        return [()]
+    relabellers = _code_relabellers(k)
+    codes = set()
+    for code in scanned_class_codes(k - 1):
+        down = _down_masks(k - 1, code)
+        for below in _closed_masks(down):
+            codes.add(least_code_by_scan(down + (below | bit(k - 1),), relabellers))
+    return sorted(codes)
 
 
 def canonical_by_scan(flat: tuple, n: int, top: int) -> tuple:

@@ -21,8 +21,11 @@ from hilbertalg.core import axioms_hold, iter_bits
 from hilbertalg.enumeration import (
     Poset,
     _canonical,
+    _class_codes,
     _class_tables,
+    _code_relabellers,
     _grow,
+    _least_code,
     _table_relabellers,
     enum_cap,
     upsets,
@@ -34,7 +37,9 @@ from oracles import (
     check_order_by_cells,
     closed_subsets,
     closure_hilbert_classes,
+    least_code_by_scan,
     posets_by_relabelling,
+    scanned_class_codes,
     scanned_hilbert_classes,
 )
 
@@ -301,11 +306,21 @@ class TestEnumerateHilbert:
         with pytest.raises(RangeError):
             enumerate_hilbert(0)
 
+    def test_new_objects_on_every_call(self):
+        """The canonical tables are cached; the algebras built from them
+        are not."""
+        first, second = enumerate_hilbert(4), enumerate_hilbert(4)
+        assert first is not second
+        assert all(A is not B and A.arrow == B.arrow for A, B in zip(first, second))
+        before = [_class_tables(n) for n in range(1, 6)]
+        _class_tables.cache_clear()
+        assert [_class_tables(n) for n in range(1, 6)] == before
+
 
 class TestPosets:
     def test_counts(self):
         assert [len(all_posets(k)) for k in range(6)] == [1, 1, 3, 19, 219, 4231]
-        assert [len(all_posets(k, up_to_iso=True)) for k in range(7)] == [
+        assert [len(all_posets(k, up_to_iso=True)) for k in range(8)] == [
             1,
             1,
             2,
@@ -313,7 +328,28 @@ class TestPosets:
             16,
             63,
             318,
+            2045,
         ]
+
+    def test_negative_size_refused(self):
+        for up_to_iso in (False, True):
+            with pytest.raises(RangeError):
+                all_posets(-1, up_to_iso)
+
+    def test_class_codes_same_as_relabelling_scan(self):
+        assert [list(_class_codes(k)) for k in range(7)] == [
+            scanned_class_codes(k) for k in range(7)
+        ]
+
+    def test_least_code_same_as_relabelling_scan(self):
+        """On every labelled poset with at most 5 points."""
+        for k in range(6):
+            relabellers = _code_relabellers(k)
+            for P in all_posets(k):
+                down = tuple(
+                    sum(1 << a for a in range(k) if P.leq[a][b]) for b in range(k)
+                )
+                assert _least_code(down) == least_code_by_scan(down, relabellers), P
 
     def test_same_as_natural_order_relabelling(self):
         # k <= 4 is covered by test_same_as_relation_scan
@@ -340,13 +376,14 @@ class TestPosets:
     def _verdict(check, *args):
         try:
             check(*args)
-        except (RangeError, IndexError) as exc:
-            return type(exc).__name__, str(exc)
+        except RangeError as exc:
+            return str(exc)
         return None
 
     def test_order_check_same_as_cell_scan(self):
         """Every boolean 3x3 relation and seeded 4x4 ones are accepted or
-        refused with the same message as a scan of every cell."""
+        refused with the same message as a scan of every cell; a relation
+        that is not size x size is refused before either."""
         rng = random.Random(12)
         relations = [
             (3, tuple(tuple(bits[3 * a : 3 * a + 3]) for a in range(3)))
@@ -362,14 +399,24 @@ class TestPosets:
             rows = [list(row) for row in P.leq]
             rows[a][b] = not rows[a][b]
             relations.append((4, tuple(tuple(row) for row in rows)))
-        # rows shorter than the size are refused, as by the cell scan
-        relations += [(2, ((True,), (False, True))), (2, ((True, False), (True,)))]
         verdicts = set()
         for k, leq in relations:
             expected = self._verdict(check_order_by_cells, k, leq)
             assert self._verdict(Poset, k, leq) == expected, leq
             verdicts.add(expected)
-        assert len(verdicts) == 5  # accepted, the three messages, a short row
+        assert len(verdicts) == 4  # accepted and the three messages
+        misshapen = [
+            (2, ((True,), (False, True))),  # short rows
+            (2, ((True, False), (True,))),
+            (2, ((True, False, False), (False, True, False))),  # long rows
+            (2, ((True, True), (False, True, True))),
+            (2, ((True, False),)),  # too few rows
+            (1, ((True,), (True,))),  # too many rows
+            (0, ((),)),
+        ]
+        for k, leq in misshapen:
+            with pytest.raises(RangeError, match=f"^leq must have {k} rows of {k} entries$"):
+                Poset(k, leq)
 
 
 class TestHeytingFromPoset:
