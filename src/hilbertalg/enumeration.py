@@ -13,10 +13,13 @@ lexicographically least table over the permutations fixing the top at
 n-1), computed once per distinct table, and the classes come out in
 ascending canonical-table order.
 
-Both ladders, the canonical tables of each size and the least poset
-codes of each number of points, are cached as tuples: each level is
-built once per process.  enumerate_hilbert and all_posets still build
-new, validated objects on every call.
+The least poset codes of each number of points are cached as tuples,
+so each level is built once per process; only all_posets reads them.
+The canonical tables are not cached.  enumerate_hilbert and the CLI's
+verify --enumerate both walk the sizes 1..n, and a shared cache would
+make the cost of either depend on whether the other ran first.  Each
+call builds each size up to n once.  enumerate_hilbert and all_posets
+build new, validated objects on every call.
 """
 
 from __future__ import annotations
@@ -445,11 +448,9 @@ def _grow(B: Sequence[int], m: int) -> Iterator[bytes]:
     yield from rows(0, [])
 
 
-@cache
 def _class_tables(n: int) -> Tuple[tuple, ...]:
     """The canonical flat tables of the n-element Hilbert algebras,
-    ascending, each class grown from a class of n - 1 elements.  Cached:
-    each size is built once per process from the one below."""
+    ascending, each class grown from a class of n - 1 elements."""
     if n == 1:
         return ((0,),)
     relabellers = _table_relabellers(n)

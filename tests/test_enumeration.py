@@ -307,14 +307,14 @@ class TestEnumerateHilbert:
             enumerate_hilbert(0)
 
     def test_new_objects_on_every_call(self):
-        """The canonical tables are cached; the algebras built from them
-        are not."""
+        """Each call builds its tables and algebras afresh, with equal
+        results."""
         first, second = enumerate_hilbert(4), enumerate_hilbert(4)
         assert first is not second
         assert all(A is not B and A.arrow == B.arrow for A, B in zip(first, second))
         before = [_class_tables(n) for n in range(1, 6)]
-        _class_tables.cache_clear()
         assert [_class_tables(n) for n in range(1, 6)] == before
+        assert _class_tables(5) is not before[-1]
 
 
 class TestPosets:
@@ -340,6 +340,15 @@ class TestPosets:
         assert [list(_class_codes(k)) for k in range(7)] == [
             scanned_class_codes(k) for k in range(7)
         ]
+
+    def test_class_codes_rebuilt_equal(self):
+        """The codes are cached; a rebuild after clearing gives equal
+        tuples, and the posets built from them are new on every call."""
+        before = [_class_codes(k) for k in range(6)]
+        _class_codes.cache_clear()
+        assert [_class_codes(k) for k in range(6)] == before
+        first, second = all_posets(4, True), all_posets(4, True)
+        assert all(P is not Q and P == Q for P, Q in zip(first, second))
 
     def test_least_code_same_as_relabelling_scan(self):
         """On every labelled poset with at most 5 points."""
