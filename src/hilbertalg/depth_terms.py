@@ -6,8 +6,11 @@ constructive procedures extracted from the depth theorem's proof:
 * such a chain is turned back into a chain subuniverse
   a_0 < ... < a_n < 1 on which every d_i(a_0..a_i) = a_i.
 
-Both procedures check the proof's intermediate claims at runtime and
-raise InternalInvariantError if one fails, which would signal a bug.
+The proof of the first passes from A to A/F at each step; the procedure
+stays in A and walks up the interval of filters above F instead, so it
+builds no quotient algebra.  Both procedures check the proof's
+intermediate claims at runtime and raise InternalInvariantError if one
+fails, which would signal a bug.
 """
 
 from __future__ import annotations
@@ -24,9 +27,13 @@ from .core import (
     iter_bits,
     subset_of,
 )
-from .errors import InternalInvariantError, PreconditionError, UnboundVariableError
-from .filters import depth, fg_closure, meet_irreducibles, separate
-from .quotient import quotient
+from .errors import (
+    InternalInvariantError,
+    PreconditionError,
+    RangeError,
+    UnboundVariableError,
+)
+from .filters import _fg_with, _separate, depth, meet_irreducibles
 
 
 def d_term(n: int) -> Term:
@@ -56,17 +63,18 @@ def _g(arrow, v: int, x: int) -> int:
     return arrow[arrow[arrow[x][v]][x]][x]
 
 
-def _d_value(A: FiniteHilbertAlgebra, assignment: Sequence[int], n: int) -> int:
-    """The value of d_n under an assignment, by folding g over x_1..x_n."""
+def _d_values(A: FiniteHilbertAlgebra, assignment: Sequence[int], n: int) -> list:
+    """The values of d_0..d_n under an assignment, by folding g over
+    x_1..x_n."""
     n = max(n, 0)  # d_term(n) is x0 for every n <= 0
     if len(assignment) <= n:
         raise UnboundVariableError(
             f"x{n} unbound in assignment of length {len(assignment)}"
         )
-    v = assignment[0]
+    values = [assignment[0]]
     for x in assignment[1 : n + 1]:
-        v = _g(A.arrow, v, x)
-    return v
+        values.append(_g(A.arrow, values[-1], x))
+    return values
 
 
 def _g_table(A: FiniteHilbertAlgebra) -> list:
@@ -160,42 +168,72 @@ def chain_from_counterexample(
     """Build a strict (n+1)-chain in the spectrum from a failing d_n assignment.
 
     Follows the proof's induction: separate off F_0, generate
-    F = Fg(F_0 | {a_n}), recurse in A/F where d_{n-1} still fails, and
-    pull the shorter chain back through the projection A -> A/F.
+    F = Fg(F_0 | {a_n}), and recurse in A/F, where d_{n-1} still fails.
+    The recursion is run inside A (see _chain_in_interval), so each
+    member comes out as a filter of A.
     """
+    n = max(n, 0)  # d_term(n) is x0 for every n <= 0
     assignment = tuple(assignment)
-    if _d_value(A, assignment, n) == A.top:
+    for i, x in enumerate(assignment):
+        if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < A.size:
+            raise RangeError(f"x{i} = {x!r} out of range [0,{A.size})")
+    values = _d_values(A, assignment, n)
+    if values[n] == A.top:
         raise PreconditionError("d_n evaluates to 1 under this assignment")
-    filters = tuple(_chain_rec(A, assignment, n))
+    filters = tuple(_chain_in_interval(A, assignment, values, n))
     if not _is_spectrum_chain(A, filters):
         raise InternalInvariantError("chain is not strict in the spectrum")
     return ChainWitness(algebra=A, filters=filters)
 
 
-def _chain_rec(A, assignment, n):
-    if n == 0:
-        a0 = assignment[0]
-        return [separate(A, bit(A.top), a0)]
-    b = _d_value(A, assignment[:n], n - 1)
-    an = assignment[n]
-    lhs = A.arrow[A.arrow[an][b]][an]  # (a_n -> b) -> a_n, not <= a_n
-    F0 = separate(A, A.upset_mask(lhs), an)
-    F = fg_closure(A, F0 | bit(an))
-    if F >> b & 1:
-        raise InternalInvariantError("d_{n-1} value landed in Fg(F_0 | {a_n})")
-    q = quotient(A, F)
-    proj = q.projection
-    sub = _chain_rec(q.algebra, tuple(proj[a] for a in assignment[:n]), n - 1)
-    # Each member G' of the quotient chain comes back as its preimage under
-    # pi: A -> A/F, so Fi(A) and Fi(A/F) are never built.  theta builds
-    # theta_F from its definition, _assert_congruence checks that it is a
-    # congruence and quotient validates A/F, so pi is a surjective
-    # homomorphism with pi^-1(1) = F, since 1 -> a = a.  By the
-    # correspondence theorem the unique filter G >= F with image G' is
-    # theta-saturated: if g in G and g theta h, then g -> h in F <= G, so
-    # h in G.  Hence G = pi^-1(G').  chain_from_counterexample still checks
-    # the result: every member lies in Spec(A) and the inclusions are strict.
-    return [F0] + [subset_of(a for a in range(A.size) if G >> proj[a] & 1) for G in sub]
+def _chain_in_interval(A, assignment, values, n):
+    """The proof's recursion through A/F_n, (A/F_n)/F_{n-1}, ..., run in A.
+
+    The quotient at each level is A/E for a filter E of A: first {1},
+    then each F.  By the correspondence theorem, pi: A -> A/E maps the
+    filters of A above E onto Fi(A/E), preserving and reflecting
+    inclusion, with the preimage as inverse; those filters are unions of
+    theta_E classes, so x/E lies in G/E iff x lies in G.  So every
+    quotient step is a mask operation in A:
+
+    * d_{k-1} at the level's assignment is pi(values[k-1]), since pi is
+      a homomorphism.
+    * The upset of lhs/E in A/E pulls back to {y : lhs -> y in E}
+      (pi^-1(1) = E), which is Fg(E | {lhs}) by the deduction theorem.
+    * separate in A/E is _separate(A, X, a_k, E), which picks among the
+      members of Spec(A) above X, and breaks ties as A/E numbers its
+      elements.
+    * Fg(F_0/E | {a_k/E}) pulls back to Fg(F_0 | {a_k}) = {y : a_k -> y
+      in F_0}.
+    * A quotient of A/E by F/E is A/F, numbered by least representatives
+      in A as well.
+
+    The quotient route checked that theta_F is a congruence and validated
+    A/F; those checks guarded an algebra this path does not build, and
+    quotient() keeps them for its own callers.  Each level still checks
+    that F_0 lies above X and avoids a_k, that F_0 < F, and that the
+    d_{k-1} value lies outside F, and chain_from_counterexample checks
+    the whole chain against Spec(A).
+    """
+    arrow = A.arrow
+    E = bit(A.top)
+    chain = []
+    for k in range(n, 0, -1):
+        b, ak = values[k - 1], assignment[k]
+        lhs = arrow[arrow[ak][b]][ak]  # (a_k -> b) -> a_k, not <= a_k
+        X = _fg_with(A, E, lhs)
+        F0 = _separate(A, X, ak, E)
+        if F0 & X != X or F0 >> ak & 1:
+            raise InternalInvariantError("separate left X or took a_n")
+        F = _fg_with(A, F0, ak)
+        if F & F0 != F0 or F == F0:
+            raise InternalInvariantError("Fg(F_0 | {a_n}) is not strictly above F_0")
+        if F >> b & 1:
+            raise InternalInvariantError("d_{n-1} value landed in Fg(F_0 | {a_n})")
+        chain.append(F0)
+        E = F
+    chain.append(_separate(A, E, assignment[0], E))
+    return chain
 
 
 def _is_spectrum_chain(A: FiniteHilbertAlgebra, fs: tuple) -> bool:

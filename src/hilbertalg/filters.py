@@ -41,6 +41,13 @@ def fg_closure(A: FiniteHilbertAlgebra, X: int) -> int:
     return F
 
 
+def _fg_with(A: FiniteHilbertAlgebra, F: int, a: int) -> int:
+    """Fg(F | {a}) for a filter F: by the deduction theorem it is
+    {b : a -> b in F}, one pass over row a."""
+    row = A.arrow[a]
+    return subset_of(b for b in range(A.size) if F >> row[b] & 1)
+
+
 def _by_size(masks) -> tuple:
     return tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
 
@@ -66,23 +73,17 @@ def all_filters(A: FiniteHilbertAlgebra) -> FilterLattice:
 
 
 def _build_lattice(A: FiniteHilbertAlgebra) -> FilterLattice:
-    """Fi(A) in one BFS over one-element extensions.
-
-    For a filter F the deduction theorem gives Fg(F | {a}) =
-    {b : a -> b in F}, and every filter other than {1} is reached from a
-    smaller one this way.
-    """
-    n = A.size
-    arrow = A.arrow
+    """Fi(A) in one BFS over one-element extensions (_fg_with); every
+    filter other than {1} is reached from a smaller one this way."""
     bottom = bit(A.top)
     found = {bottom}
     frontier = [bottom]
     while frontier:
         F = frontier.pop()
-        for a in range(n):
+        for a in range(A.size):
             if F >> a & 1:
                 continue
-            G = subset_of(b for b in range(n) if F >> arrow[a][b] & 1)
+            G = _fg_with(A, F, a)
             if G not in found:
                 found.add(G)
                 frontier.append(G)
@@ -162,13 +163,52 @@ def separate(A: FiniteHilbertAlgebra, F: int, a: int) -> int:
     bit pattern (the classical proof extends F to a filter maximal among
     those avoiding a).
     """
-    if F >> a & 1:
+    return _separate(A, F, a, bit(A.top))
+
+
+def _separate(A: FiniteHilbertAlgebra, X: int, a: int, E: int) -> int:
+    """separate in the quotient A/E, read in A, for a filter E <= X.
+
+    By the correspondence theorem, G |-> G/E maps the filters of A above
+    E onto Fi(A/E), preserving and reflecting inclusion, and each such G
+    is a union of theta_E classes, so a/E lies in G/E iff a lies in G.
+    Hence Spec(A/E) is the image of the members of Spec(A) above E, and
+    the candidates are the G in Spec(A) with X <= G and a not in G
+    (X >= E).  A/E numbers its classes by ascending least member
+    (quotient.quotient), so the bit of class i in a mask of A/E becomes
+    the bit of that class's least member in G & L, where L holds the
+    least member of every class (_class_leaders): comparing quotient
+    masks is comparing G & L as integers.  With E = {1} theta_E is the
+    identity (a -> b = b -> a = 1 gives a = b), L is all of A, and this
+    is separate(A, X, a).
+    """
+    if X >> a & 1:
         raise PreconditionError(f"element {a} already in the filter")
     spectrum = meet_irreducibles(A)
-    candidates = [G for G in spectrum.filters if G & F == F and not G >> a & 1]
+    candidates = [G for G in spectrum.filters if G & X == X and not G >> a & 1]
     if not candidates:
         raise PreconditionError("no separating meet-irreducible (input not a filter?)")
     maximal = [
         G for G in candidates if not any(H != G and H & G == G for H in candidates)
     ]
-    return min(maximal)
+    if len(maximal) == 1 or E == bit(A.top):
+        return min(maximal)
+    leaders = _class_leaders(A, E)
+    return min(maximal, key=lambda G: G & leaders)
+
+
+def _class_leaders(A: FiniteHilbertAlgebra, E: int) -> int:
+    """The least element of each theta_E class, as a mask.
+
+    a theta_E b iff a -> b and b -> a lie in E, iff Fg(E | {a}) =
+    Fg(E | {b}): b lies in Fg(E | {a}) iff a -> b lies in E, and then
+    Fg(E | {b}) <= Fg(E | {a}); likewise with a and b swapped.
+    """
+    seen = set()
+    leaders = 0
+    for a in range(A.size):
+        key = _fg_with(A, E, a)
+        if key not in seen:
+            seen.add(key)
+            leaders |= bit(a)
+    return leaders

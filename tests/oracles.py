@@ -26,7 +26,7 @@ from hilbertalg.core import (
     subset_of,
     term_width,
 )
-from hilbertalg.depth_terms import _d_value
+from hilbertalg.depth_terms import _d_values
 from hilbertalg.enumeration import (
     Poset,
     _canonical,
@@ -63,6 +63,15 @@ def capped_fan(m: int) -> FiniteHilbertAlgebra:
     return FiniteHilbertAlgebra.from_table(
         [[arrow(x, y) for y in range(m + 2)] for x in range(m + 2)]
     )
+
+
+def relabelled(A: FiniteHilbertAlgebra, perm) -> FiniteHilbertAlgebra:
+    """A with element a renamed perm[a]."""
+    table = [[0] * A.size for _ in range(A.size)]
+    for a in range(A.size):
+        for b in range(A.size):
+            table[perm[a]][perm[b]] = perm[A.arrow[a][b]]
+    return FiniteHilbertAlgebra.from_table(table)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +265,7 @@ def chain_by_correspondence(A: FiniteHilbertAlgebra, assignment, n: int) -> tupl
     filters above F onto Fi(A/F), instead of by preimage."""
     if n == 0:
         return (separate(A, bit(A.top), assignment[0]),)
-    b = _d_value(A, assignment[:n], n - 1)
+    b = _d_values(A, assignment, n - 1)[-1]
     an = assignment[n]
     F0 = separate(A, A.upset_mask(A.arrow[A.arrow[an][b]][an]), an)
     F = fg_closure(A, F0 | bit(an))

@@ -1,4 +1,6 @@
+import importlib
 import json
+import random
 
 import pytest
 
@@ -26,8 +28,8 @@ from hilbertalg import (
 from hilbertalg import depth_terms, filters
 from hilbertalg.core import bit, generated_subuniverse, iter_bits
 from hilbertalg.cli import main
-from hilbertalg.errors import PreconditionError, UnboundVariableError
-from oracles import capped_fan, chain_by_correspondence, fan
+from hilbertalg.errors import PreconditionError, RangeError, UnboundVariableError
+from oracles import capped_fan, chain_by_correspondence, fan, relabelled
 
 
 class TestDTerm:
@@ -163,6 +165,27 @@ class TestChainFromCounterexample:
         with pytest.raises(UnboundVariableError):
             chain_from_counterexample(chain3, (0,), 1)
 
+    def test_entries_out_of_range(self):
+        A = chain_algebra(3)
+        for assignment, named in (
+            ((0, 7), "x1 = 7 "),
+            ((0, -2), "x1 = -2 "),
+            ((-4, 1), "x0 = -4 "),
+            ((0, "1"), "x1 = '1' "),
+            ((True, 1), "x0 = True "),
+        ):
+            with pytest.raises(RangeError, match=named):
+                chain_from_counterexample(A, assignment, 1)
+
+    def test_negative_n_round_trip(self):
+        # d_term(n) is x0 for every n <= 0, so n = -1 is the n = 0 case
+        for A in [chain_algebra(3), fan(4)] + enumerate_hilbert(4):
+            holds, cex = depth_leq_via_identity(A, -1)
+            assert not holds
+            w = chain_from_counterexample(A, cex, -1)
+            assert w.filters == chain_from_counterexample(A, cex, 0).filters
+            assert subalgebra_from_chain(A, w).elements == cex
+
     def test_invariants_exhaustive(self):
         for size in range(1, 5):
             for A in enumerate_hilbert(size):
@@ -179,14 +202,23 @@ class TestChainFromCounterexample:
 
 
 class TestChainAgainstCorrespondence:
-    """The preimage pull-back against inverting the full correspondence."""
+    """The walk up the filters of A against the proof's route through the
+    quotient algebras, inverting the full correspondence at each level."""
 
     def test_same_filters(self):
-        algebras = [A for size in range(1, 6) for A in enumerate_hilbert(size)]
-        algebras += [
-            heyting_from_poset(P)[1] for k in range(6) for P in all_posets(k, up_to_iso=True)
+        small = [A for size in range(1, 6) for A in enumerate_hilbert(size)]
+        reducts5 = [heyting_from_poset(P)[1] for P in all_posets(5, up_to_iso=True)]
+        algebras = small + [
+            heyting_from_poset(P)[1] for k in range(5) for P in all_posets(k, up_to_iso=True)
         ]
+        algebras += reducts5
         algebras += [chain_algebra(m) for m in (4, 8, 16)]
+        # Relabelled, least representatives of the quotient classes differ
+        # from the canonical labelling's far more often, which exercises
+        # the tie-break in separate.
+        rng = random.Random(13)
+        for A in (small + reducts5) * 2:
+            algebras.append(relabelled(A, rng.sample(range(A.size), A.size)))
         for A in algebras:
             for n in range(depth(A)):
                 _, cex = depth_leq_via_identity(A, n)
@@ -239,6 +271,50 @@ class TestSubalgebraFromChain:
                     closed = subset_of(es) | bit(A.top)
                     assert generated_subuniverse(A, closed) == closed
                     assert eval_term(A, d_term(n), es) != A.top
+
+
+class TestWitnessPathWithoutQuotient:
+    """Both proof procedures stay in A: no congruence, quotient algebra or
+    iterated closure is built on the way."""
+
+    @pytest.fixture
+    def no_quotient(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a quotient or closure was built")
+
+        quotient_module = importlib.import_module("hilbertalg.quotient")
+        monkeypatch.setattr(quotient_module, "theta", refuse)
+        monkeypatch.setattr(quotient_module, "quotient", refuse)
+        monkeypatch.setattr(filters, "fg_closure", refuse)
+
+    @staticmethod
+    def witnesses(A, ns):
+        out = []
+        for n in ns:
+            holds, cex = depth_leq_via_identity(A, n)
+            assert not holds
+            chain = chain_from_counterexample(A, cex, n)
+            out.append((cex, chain.filters, subalgebra_from_chain(A, chain).elements))
+        return out
+
+    def test_reducts_of_five_point_posets(self, no_quotient):
+        for P in all_posets(5, up_to_iso=True):
+            A = heyting_from_poset(P)[1]
+            for cex, fs, elements in self.witnesses(A, range(depth(A))):
+                assert len(fs) == len(elements) == len(cex)
+
+    def test_chain_63_every_n(self, no_quotient):
+        A = chain_algebra(63)
+        for n, (cex, fs, elements) in enumerate(self.witnesses(A, range(63))):
+            assert cex == elements == tuple(range(n + 1))
+            assert fs == tuple(A.upset_mask(n + 1 - i) for i in range(n + 1))
+
+    def test_capped_fan_62(self, no_quotient):
+        A = capped_fan(62)
+        assert self.witnesses(A, range(2)) == [
+            ((0,), (A.universe_mask() & ~bit(0),), (0,)),
+            ((0, 62), (bit(63), A.universe_mask() & ~bit(0)), (0, 62)),
+        ]
 
 
 class TestDepthPathWithoutLattice:

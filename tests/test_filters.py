@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hilbertalg import (
@@ -11,10 +13,14 @@ from hilbertalg import (
     heyting_from_poset,
     is_implicative_filter,
     meet_irreducibles,
+    quotient,
     separate,
     subset_of,
+    theta,
 )
+from hilbertalg.core import bit, iter_bits
 from hilbertalg.errors import PreconditionError, SizeLimitError
+from hilbertalg.filters import _class_leaders, _fg_with, _separate
 from oracles import (
     fan,
     fg_formula_member,
@@ -23,6 +29,7 @@ from oracles import (
     is_meet_prime,
     join,
     one_upper_cover_spectrum,
+    relabelled,
 )
 
 
@@ -127,6 +134,14 @@ class TestFgWithExtra:
                     F = fg_with_extra(A, X, c)
                     for a in range(A.size):
                         assert fg_with_extra_member(A, X, c, a) == bool(F >> a & 1)
+
+
+class TestDeductionTheorem:
+    def test_one_row_is_the_closure(self, oracle_set):
+        for A in oracle_set:
+            for F in all_filters(A).filters:
+                for a in range(A.size):
+                    assert _fg_with(A, F, a) == fg_closure(A, F | bit(a))
 
 
 class TestAllFilters:
@@ -268,3 +283,29 @@ class TestSeparate:
                             assert any(
                                 F >> a & 1 and not F >> b & 1 for F in spec
                             )
+
+    def test_in_the_quotient_against_the_quotient_algebra(self, oracle_set):
+        """_separate(A, X, a, E) is separate in A/E, pulled back, on the
+        oracle set and on seeded relabellings of it, where least
+        representatives and indices differ more often."""
+        rng = random.Random(5)
+        algebras = oracle_set + [
+            relabelled(A, rng.sample(range(A.size), A.size)) for A in oracle_set * 2
+        ]
+        for A in algebras:
+            lattice = all_filters(A).filters
+            for E in lattice:
+                q = quotient(A, E)
+                proj = q.projection
+                blocks = theta(A, E).blocks
+                assert _class_leaders(A, E) == subset_of(min(iter_bits(b)) for b in blocks)
+                for X in lattice:
+                    if X & E != E:
+                        continue
+                    image = subset_of(proj[x] for x in iter_bits(X))
+                    for a in range(A.size):
+                        if X >> a & 1:
+                            continue
+                        G = separate(q.algebra, image, proj[a])
+                        expected = subset_of(x for x in range(A.size) if G >> proj[x] & 1)
+                        assert _separate(A, X, a, E) == expected, (A.arrow, E, X, a)
