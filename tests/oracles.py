@@ -260,9 +260,10 @@ def _assert_congruence_by_cells(A, related, class_of, reps):
 
 
 def chain_by_correspondence(A: FiniteHilbertAlgebra, assignment, n: int) -> tuple:
-    """The filters of chain_from_counterexample, with each quotient chain
-    member pulled back by inverting correspondence_check's map from the
-    filters above F onto Fi(A/F), instead of by preimage."""
+    """The filters of chain_from_counterexample by the proof's route:
+    recurse in the quotient algebra A/F, and pull each member of the
+    shorter chain back by inverting correspondence_check's map from the
+    filters above F onto Fi(A/F)."""
     if n == 0:
         return (separate(A, bit(A.top), assignment[0]),)
     b = _d_values(A, assignment, n - 1)[-1]

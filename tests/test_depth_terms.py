@@ -319,8 +319,7 @@ class TestWitnessPathWithoutQuotient:
 
 class TestDepthPathWithoutLattice:
     """depth, verify and both proof procedures read the spectrum off the
-    table and pull chains back by preimage; Fi(fan(63)) would have 2^63
-    members."""
+    table and never build Fi(A); Fi(fan(63)) would have 2^63 members."""
 
     @pytest.fixture
     def no_lattice(self, monkeypatch):
