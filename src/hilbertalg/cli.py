@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import mask_str, subset_of
+from .core import MAX_UNIVERSE, mask_str, subset_of
 from .depth_terms import verify_main_theorem
 from .dot import hasse_covers, poset_dot
 from .enumeration import enum_cap, enumerate_hilbert
@@ -23,6 +23,12 @@ from .quotient import quotient
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
+
+# Largest --nmax verify accepts.  A loadable algebra has at most
+# MAX_UNIVERSE elements, so a strict chain of its proper filters, and so
+# its depth, has at most MAX_UNIVERSE - 1 members: every row past this
+# one would say "yes, yes, agree" like this one.
+NMAX_LIMIT = MAX_UNIVERSE - 1
 
 
 def cmd_check(args) -> int:
@@ -178,7 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="verify every algebra with at most N elements",
     )
-    p.add_argument("--nmax", type=int, default=4, help="largest n to test (default 4)")
+    p.add_argument(
+        "--nmax",
+        type=int,
+        default=4,
+        help=f"largest n to test, 0..{NMAX_LIMIT} (default 4)",
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("quotient", help="emit the quotient by a filter")
@@ -211,6 +222,11 @@ def main(argv=None) -> int:
             parser.error("verify needs exactly one of PATH or --enumerate N")
         if args.nmax < 0:
             parser.error("--nmax must be at least 0")
+        if args.nmax > NMAX_LIMIT:
+            parser.error(
+                f"--nmax must be at most {NMAX_LIMIT}, the largest depth of an "
+                f"algebra with at most {MAX_UNIVERSE} elements"
+            )
         if args.enumerate is not None and args.enumerate < 1:
             parser.error("--enumerate must be at least 1")
     try:

@@ -232,6 +232,14 @@ class FiniteHilbertAlgebra:
 
         return _build_spectrum(self)
 
+    @cached_property
+    def _d_ladder(self):
+        """The g table and T_0 > T_1 > ... of the d_n test, built whole on
+        first use and kept like _filter_lattice."""
+        from .depth_terms import _build_ladder
+
+        return _build_ladder(self)
+
     def leq(self, a: int, b: int) -> bool:
         return self.arrow[a][b] == self.top
 

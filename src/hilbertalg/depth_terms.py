@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .core import (
+    _BYTE_VALUES,
     FiniteHilbertAlgebra,
     Imp,
     Term,
@@ -55,7 +56,9 @@ def d_term(n: int) -> Term:
 # i.e. T_{j+1} = {v : g(v, x) in T_j for some x}.  Then d_n fails iff T_n is
 # nonempty, and the lexicographically least counterexample is picked
 # forwards: x_0 = min T_n, then each x_k is the least x keeping the running
-# value in T_{n-k}.  Cost O(|A|^2 + n*|A|) against |A|^(n+1).
+# value in T_{n-k}.  The sets depend only on the number of steps left, so
+# one ladder per algebra (_build_ladder, kept as A._d_ladder) serves every
+# n; each decision then costs O(n*|A|) against |A|^(n+1).
 
 
 def _g(arrow, v: int, x: int) -> int:
@@ -77,33 +80,59 @@ def _d_values(A: FiniteHilbertAlgebra, assignment: Sequence[int], n: int) -> lis
     return values
 
 
-def _g_table(A: FiniteHilbertAlgebra) -> list:
-    """g[v][x] for every pair of elements."""
-    elements = range(A.size)
-    return [[_g(A.arrow, v, x) for x in elements] for v in elements]
+def _build_ladder(A: FiniteHilbertAlgebra) -> tuple:
+    """The d_n test's tables for A, built whole, once: (g, reach, sets).
 
+    g[v] holds g(v, x) for every x, as bytes; reach[v] is the mask of the
+    values in g[v]; sets holds T_0 > T_1 > ... as masks, and T_j for every
+    j past the last entry equals the last entry.  A plain tuple, because a
+    class here would be built at every import of the package.
 
-def _failure_sets(A: FiniteHilbertAlgebra, g: list, n_max: int) -> list:
-    """T_0..T_{n_max} as masks, cut after the first empty one: each set is
-    computed from the one before, so every later set is empty too.  They
-    depend only on the number of steps left, so one list serves every
-    n <= n_max."""
-    reach = [subset_of(row) for row in g]
+    Column x of g, the values g(v, x) over v, is row x of the table (the
+    map v |-> x -> v) mapped twice through column x (the map y |-> y -> x).
+    bytes.translate applies each map in C, as in core.validate, and
+    zip(*...) turns the columns into rows.
+
+    The ladder is exact without the depth theorem.  g(1, x) = ((x -> 1)
+    -> x) -> x = (1 -> x) -> x = x -> x = 1, so 1 lies in no T_{j+1} and
+    T_1 <= T_0 = A - {1}.  Taking preimages is monotone, so T_j <= T_{j-1}
+    gives T_{j+1} <= T_j, and T_{j+1} = T_j makes every later set equal to
+    it.  So the sets shrink strictly until one is empty or repeats, which
+    takes at most |A| - 1 steps, and the list stops there.  (By the
+    theorem the last set is empty, after depth(A) steps.)
+    """
+    n = A.size
+    pad = _BYTE_VALUES[n:]
+    columns = []
+    for row, column in zip(A.arrow, zip(*A.arrow)):
+        to_x = bytes(column) + pad
+        columns.append(bytes(row).translate(to_x).translate(to_x))
+    g = tuple(bytes(values) for values in zip(*columns))
+    reach = tuple(subset_of(set(values)) for values in g)
     sets = [A.universe_mask() & ~bit(A.top)]
-    while sets[-1] and len(sets) <= n_max:
+    while sets[-1]:
         target = sets[-1]
-        sets.append(subset_of(v for v, r in enumerate(reach) if r & target))
-    return sets
+        below = subset_of(v for v, r in enumerate(reach) if r & target)
+        # Checked, not assumed: a step outside the set before could cycle.
+        if below & ~target:
+            raise InternalInvariantError("T_{j+1} is not inside T_j")
+        if below == target:
+            break
+        sets.append(below)
+    return g, reach, tuple(sets)
 
 
-def _least_counterexample(g: list, sets: list, n: int) -> Optional[tuple]:
+def _least_counterexample(ladder: tuple, n: int) -> Optional[tuple]:
     """The lexicographically least assignment with d_n != 1, or None."""
-    if n >= len(sets) or not sets[n]:
+    g, _, sets = ladder
+    last = len(sets) - 1
+    start = sets[min(n, last)]
+    if not start:
         return None
-    v = next(iter_bits(sets[n]))
+    v = next(iter_bits(start))
     assignment = [v]
     for left in range(n - 1, -1, -1):
-        target = sets[left]
+        target = sets[min(left, last)]
         x = next(x for x, w in enumerate(g[v]) if target >> w & 1)
         v = g[v][x]
         assignment.append(x)
@@ -113,10 +142,11 @@ def _least_counterexample(g: list, sets: list, n: int) -> Optional[tuple]:
 def depth_leq_via_identity(
     A: FiniteHilbertAlgebra, n: int
 ) -> Tuple[bool, Optional[tuple]]:
-    """Whether A |= d_n = 1, with the least counterexample on failure."""
+    """Whether A |= d_n = 1, with the least counterexample on failure.
+
+    Reads the ladder kept on A, which the first call builds."""
     n = max(n, 0)  # d_term(n) is x0 for every n <= 0
-    g = _g_table(A)
-    cex = _least_counterexample(g, _failure_sets(A, g, n), n)
+    cex = _least_counterexample(A._d_ladder, n)
     return cex is None, cex
 
 
@@ -135,12 +165,11 @@ class DepthReport:
 def verify_main_theorem(A: FiniteHilbertAlgebra, n_max: int) -> DepthReport:
     """Compare depth(A) <= n against A |= d_n = 1 for every n <= n_max."""
     d = depth(A)
-    g = _g_table(A)
-    sets = _failure_sets(A, g, n_max)
+    ladder = A._d_ladder
     rows = []
     counterexamples = {}
     for n in range(n_max + 1):
-        cex = _least_counterexample(g, sets, n)
+        cex = _least_counterexample(ladder, n)
         holds = cex is None
         rows.append((n, d <= n, holds, (d <= n) == holds))
         if cex is not None:

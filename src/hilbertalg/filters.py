@@ -102,18 +102,15 @@ def _build_spectrum(A: FiniteHilbertAlgebra) -> tuple:
     upset containing 1, and it is closed under modus ponens iff x -> a = a
     for every x outside down(a): take y = a for necessity; for
     sufficiency, y <= a gives x -> y <= x -> a = a.  So a != 1 contributes
-    iff column a holds only a and 1.  O(|A|^2) in all.
+    iff column a holds only a and 1.  O(|A|^2) in all; zip(*...) hands
+    over the columns in order, each as one tuple.
     """
-    n = A.size
     top = A.top
     universe = A.universe_mask()
     spectrum = []
-    for a in range(n):
-        if a == top:
-            continue
-        column = [A.arrow[x][a] for x in range(n)]
-        if all(v == a or v == top for v in column):
-            down = subset_of(x for x in range(n) if column[x] == top)
+    for a, column in enumerate(zip(*A.arrow)):
+        if a != top and set(column) <= {a, top}:
+            down = subset_of(x for x, v in enumerate(column) if v == top)
             spectrum.append(universe & ~down)
     return _by_size(spectrum)
 

@@ -2,7 +2,8 @@
 against, and the fan algebras.  Nothing in `src` calls these."""
 
 from functools import reduce
-from itertools import combinations, permutations, product
+import itertools
+from itertools import combinations, permutations
 from operator import and_
 
 from hilbertalg import (
@@ -26,7 +27,7 @@ from hilbertalg.core import (
     subset_of,
     term_width,
 )
-from hilbertalg.depth_terms import _d_values
+from hilbertalg.depth_terms import _d_values, _g
 from hilbertalg.enumeration import (
     Poset,
     _canonical,
@@ -281,15 +282,64 @@ def chain_by_correspondence(A: FiniteHilbertAlgebra, assignment, n: int) -> tupl
 
 
 # ---------------------------------------------------------------------------
+# the d_n test
+
+
+def g_table_by_cells(A: FiniteHilbertAlgebra) -> list:
+    """g[v][x] = ((x -> v) -> x) -> x, one cell at a time."""
+    elements = range(A.size)
+    return [[_g(A.arrow, v, x) for x in elements] for v in elements]
+
+
+def failure_sets_by_definition(A: FiniteHilbertAlgebra, steps: int) -> list:
+    """T_0..T_steps from T_0 = A - {1} and T_{j+1} = {v : g(v, x) in T_j
+    for some x}, over the table above."""
+    values = [set(row) for row in g_table_by_cells(A)]
+    sets = [A.universe_mask() & ~bit(A.top)]
+    for _ in range(steps):
+        target = sets[-1]
+        sets.append(
+            subset_of(v for v in range(A.size) if any(target >> w & 1 for w in values[v]))
+        )
+    return sets
+
+
+# ---------------------------------------------------------------------------
 # identities
 
 
 def satisfies_identity_by_eval_term(A: FiniteHilbertAlgebra, t) -> tuple:
     """satisfies_identity with eval_term on every assignment."""
-    for v in product(range(A.size), repeat=term_width(t)):
+    for v in itertools.product(range(A.size), repeat=term_width(t)):
         if eval_term(A, t, v) != A.top:
             return False, v
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# subalgebras and products
+
+
+def subalgebra(A: FiniteHilbertAlgebra, S: int) -> FiniteHilbertAlgebra:
+    """The subuniverse S of A as an algebra, its members renumbered in
+    ascending order."""
+    members = list(iter_bits(S))
+    index = {a: i for i, a in enumerate(members)}
+    return FiniteHilbertAlgebra.from_table(
+        [[index[A.arrow[a][b]] for b in members] for a in members]
+    )
+
+
+def product(A: FiniteHilbertAlgebra, B: FiniteHilbertAlgebra) -> FiniteHilbertAlgebra:
+    """A x B with -> taken in each coordinate; (a, b) is element a*|B| + b."""
+    m = B.size
+    return FiniteHilbertAlgebra.from_table(
+        [
+            [A.arrow[a][c] * m + B.arrow[b][d] for c in range(A.size) for d in range(m)]
+            for a in range(A.size)
+            for b in range(m)
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +460,7 @@ def _fill_tables(n: int, order):
     domains = [[v for v in range(n) if order[b][v] and v != top] for (a, b) in cells]
     if any(not d for d in domains):
         return
-    for choice in product(*domains):
+    for choice in itertools.product(*domains):
         for (a, b), v in zip(cells, choice):
             table[a][b] = v
         yield table

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from hilbertalg import find_isomorphism, validate
-from hilbertalg.cli import main
+from hilbertalg.cli import NMAX_LIMIT, main
 from hilbertalg.files import dump_algebra, load_algebra, parse_algebra_text
 from hilbertalg.errors import AlgebraFileError
 
@@ -188,6 +188,26 @@ class TestVerify:
             main(["verify", algebra_file(CHAIN3), "--nmax", "-3"])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    def test_nmax_at_the_limit(self, algebra_file, capsys):
+        assert main(["verify", algebra_file(CHAIN3), "--nmax", str(NMAX_LIMIT)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert NMAX_LIMIT == 63 and len(lines) == 1 + 64
+        assert lines[-1] == "n=63: depth<=63 yes, d_63 holds yes, agree"
+
+    @pytest.mark.parametrize("nmax", [NMAX_LIMIT + 1, 10**9])
+    @pytest.mark.parametrize("source", ["file", "enumerate"])
+    def test_nmax_past_the_limit_is_usage_error(self, algebra_file, capsys, nmax, source):
+        where = [algebra_file(CHAIN3)] if source == "file" else ["--enumerate", "2"]
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *where, "--nmax", str(nmax)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "hilbertalg: error: --nmax must be at most 63, "
+            "the largest depth of an algebra with at most 64 elements"
+        )
 
 
 class TestQuotient:

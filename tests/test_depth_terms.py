@@ -6,9 +6,11 @@ import pytest
 
 from hilbertalg import (
     ChainWitness,
+    FiniteHilbertAlgebra,
     Imp,
     Poset,
     Var,
+    all_filters,
     all_posets,
     chain_algebra,
     chain_from_counterexample,
@@ -19,17 +21,27 @@ from hilbertalg import (
     eval_term,
     heyting_from_poset,
     meet_irreducibles,
+    quotient,
     satisfies_identity,
     separate,
     subalgebra_from_chain,
     subset_of,
     verify_main_theorem,
 )
-from hilbertalg import depth_terms, filters
+from hilbertalg import filters
 from hilbertalg.core import bit, generated_subuniverse, iter_bits
 from hilbertalg.cli import main
 from hilbertalg.errors import PreconditionError, RangeError, UnboundVariableError
-from oracles import capped_fan, chain_by_correspondence, fan, relabelled
+from oracles import (
+    capped_fan,
+    chain_by_correspondence,
+    failure_sets_by_definition,
+    fan,
+    g_table_by_cells,
+    product,
+    relabelled,
+    subalgebra,
+)
 
 
 class TestDTerm:
@@ -131,12 +143,93 @@ class TestVerifyMainTheorem:
 
     def test_failure_sets_stop_at_first_empty(self, trivial, fork):
         for A in (trivial, fork, chain_algebra(3), chain_algebra(16), fan(6)):
-            g = depth_terms._g_table(A)
-            sets = depth_terms._failure_sets(A, g, 10**6)
-            assert len(sets) <= A.size + 1
+            assert depth_leq_via_identity(A, 10**6) == (True, None)
+            _, _, sets = A._d_ladder
+            assert len(sets) == depth(A) + 1 <= A.size
             assert not sets[-1]
             report = verify_main_theorem(A, 40)
             assert len(report.rows) == 41 and report.all_agree
+
+
+def ladder_set() -> list:
+    """Every algebra with <= 5 elements, the reducts of posets with <= 5
+    points and seeded relabellings of them, the chains up to 63 and the
+    fans."""
+    algebras = [A for size in range(1, 6) for A in enumerate_hilbert(size)]
+    reducts = [
+        heyting_from_poset(P)[1] for k in range(6) for P in all_posets(k, up_to_iso=True)
+    ]
+    rng = random.Random(41)
+    algebras += reducts
+    algebras += [relabelled(A, rng.sample(range(A.size), A.size)) for A in reducts * 2]
+    algebras += [chain_algebra(m) for m in range(1, 64)]
+    algebras += [fan(m) for m in range(1, 64)]
+    algebras += [capped_fan(m) for m in range(1, 63)]
+    return algebras
+
+
+class TestLadder:
+    """The d_n ladder kept on each algebra: the g table built a column at
+    a time against the cell-by-cell one, and T_0 > T_1 > ... against the
+    definition."""
+
+    def test_against_the_cell_by_cell_table(self):
+        for A in ladder_set():
+            rows, reach, sets = A._d_ladder
+            g = g_table_by_cells(A)
+            assert [list(row) for row in rows] == g, A.arrow
+            assert reach == tuple(subset_of(row) for row in g)
+            assert list(sets) == failure_sets_by_definition(A, len(sets) - 1)
+            assert all(T & S == T and T != S for S, T in zip(sets, sets[1:]))
+            assert not sets[-1] and len(sets) == depth(A) + 1
+
+    def test_memo_leaves_equality_hash_and_repr(self):
+        A, B = chain_algebra(5), chain_algebra(5)
+        before = (repr(A), hash(A))
+        ladder = A._d_ladder
+        assert (repr(A), hash(A)) == before
+        assert A == B and hash(A) == hash(B) and repr(A) == repr(B)
+        assert "_d_ladder" in vars(A) and "_d_ladder" not in vars(B)
+        assert A._d_ladder is ladder
+
+    def test_one_instance_against_fresh_instances(self, fork):
+        rng = random.Random(23)
+        reducts = [heyting_from_poset(P)[1] for P in all_posets(5, up_to_iso=True)]
+        tables = [fork.arrow, chain_algebra(6).arrow, capped_fan(4).arrow]
+        tables += [A.arrow for A in rng.sample(reducts, 4)]
+        for table in tables:
+            fresh = lambda: FiniteHilbertAlgebra.from_table(table)
+            A = fresh()
+            ns = list(range(-1, 9)) + [10**6]
+            rng.shuffle(ns)
+            for n in ns:
+                assert depth_leq_via_identity(A, n) == depth_leq_via_identity(fresh(), n)
+            B = fresh()
+            depth_leq_via_identity(B, 2)
+            assert verify_main_theorem(B, 40) == verify_main_theorem(fresh(), 40)
+
+
+class TestDepthIsEquational:
+    """Birkhoff: an equational class is closed under subalgebras,
+    homomorphic images and products, so depth <= n must be too."""
+
+    def test_subalgebras_quotients_and_products(self):
+        algebras = [A for size in range(1, 6) for A in enumerate_hilbert(size)]
+        depths = [depth(A) for A in algebras]
+        subuniverses = quotients = 0
+        for A, d in zip(algebras, depths):
+            for S in {generated_subuniverse(A, X) for X in range(1 << A.size)}:
+                assert depth(subalgebra(A, S)) <= d, (A.arrow, S)
+                subuniverses += 1
+            for F in all_filters(A).filters:
+                assert depth(quotient(A, F).algebra) <= d, (A.arrow, F)
+                quotients += 1
+        products = 0
+        for A, d in zip(algebras, depths):
+            for B, e in zip(algebras, depths):
+                assert depth(product(A, B)) == max(d, e), (A.arrow, B.arrow)
+                products += 1
+        assert (len(algebras), subuniverses, quotients, products) == (31, 372, 207, 961)
 
 
 class TestChainFromCounterexample:
