@@ -8,7 +8,7 @@ generator sets hashable and makes inclusion a single `&`.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import permutations, product
 from typing import Iterator, Optional, Sequence
@@ -58,18 +58,74 @@ def mask_str(mask: int, names: Optional[Sequence[str]] = None) -> str:
 
 
 # ---------------------------------------------------------------------------
+# value types
+
+
+class _Frozen:
+    """Base of the package's value types: immutable, and compared, hashed
+    and printed by their fields, as @dataclass(frozen=True) would make them.
+
+    @dataclass(frozen=True) writes __init__, __repr__, __eq__, __hash__,
+    __setattr__ and __delattr__ as source text and compiles each with exec
+    when the class is created, so six methods per class on every import of
+    the package.  Here the last five are written once, reading the fields
+    from __dataclass_fields__ in order, and each subclass writes its own
+    __init__, which stores the fields with self.__dict__.update.  The
+    subclasses stay dataclasses, declared with init=False, repr=False and
+    eq=False, which compiles nothing, so dataclasses.fields, replace,
+    asdict and __match_args__ still work.  Each __init__ annotates its
+    parameters as the fields are annotated, so the __doc__ that dataclass
+    writes for a class without a docstring is the same.  cached_property
+    writes to __dict__ directly, so memos that are not fields are kept as
+    before.
+    """
+
+    __slots__ = ()
+
+    def _field_values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self.__dataclass_fields__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._field_values() == other._field_values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._field_values())
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.__dataclass_fields__, self._field_values())
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # terms
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(init=False, repr=False, eq=False)
+class Var(_Frozen):
     index: int
 
+    def __init__(self, index: int):
+        self.__dict__.update(index=index)
 
-@dataclass(frozen=True)
-class Imp:
+
+@dataclass(init=False, repr=False, eq=False)
+class Imp(_Frozen):
     left: "Term"
     right: "Term"
+
+    def __init__(self, left: "Term", right: "Term"):
+        self.__dict__.update(left=left, right=right)
 
 
 # PEP 604 rather than typing.Union: Union[...] is memoised in typing's
@@ -89,12 +145,15 @@ def term_width(t: Term) -> int:
 # validation
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+@dataclass(init=False, repr=False, eq=False)
+class ValidationReport(_Frozen):
     """Outcome of axiom checking; violations are (axiom, witness) pairs."""
 
     size: int
     violations: tuple
+
+    def __init__(self, size: int, violations: tuple):
+        self.__dict__.update(size=size, violations=violations)
 
     @property
     def ok(self) -> bool:
@@ -192,12 +251,17 @@ def axioms_hold(table, n: int, top: int) -> bool:
 # the algebra
 
 
-@dataclass(frozen=True)
-class FiniteHilbertAlgebra:
+@dataclass(init=False, repr=False, eq=False)
+class FiniteHilbertAlgebra(_Frozen):
     size: int
     arrow: tuple  # tuple of row tuples
     top: int
     names: Optional[tuple] = None
+
+    def __init__(
+        self, size: int, arrow: tuple, top: int, names: Optional[tuple] = None
+    ):
+        self.__dict__.update(size=size, arrow=arrow, top=top, names=names)
 
     @classmethod
     def from_table(cls, table, names=None) -> "FiniteHilbertAlgebra":

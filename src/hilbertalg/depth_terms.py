@@ -22,6 +22,7 @@ from .core import (
     _BYTE_VALUES,
     FiniteHilbertAlgebra,
     Imp,
+    _Frozen,
     Term,
     Var,
     bit,
@@ -81,11 +82,12 @@ def _d_values(A: FiniteHilbertAlgebra, assignment: Sequence[int], n: int) -> lis
 
 
 def _build_ladder(A: FiniteHilbertAlgebra) -> tuple:
-    """The d_n test's tables for A, built whole, once: (g, reach, sets).
+    """The d_n test's tables for A, built whole, once: (g, sets).
 
-    g[v] holds g(v, x) for every x, as bytes; reach[v] is the mask of the
-    values in g[v]; sets holds T_0 > T_1 > ... as masks, and T_j for every
-    j past the last entry equals the last entry.  A plain tuple, because a
+    g[v] holds g(v, x) for every x, as bytes; sets holds T_0 > T_1 > ...
+    as masks, and T_j for every j past the last entry equals the last
+    entry.  The build steps through reach[v], the mask of the values in
+    g[v], which is not kept.  A plain tuple, because a
     class here would be built at every import of the package.
 
     Column x of g, the values g(v, x) over v, is row x of the table (the
@@ -119,12 +121,12 @@ def _build_ladder(A: FiniteHilbertAlgebra) -> tuple:
         if below == target:
             break
         sets.append(below)
-    return g, reach, tuple(sets)
+    return g, tuple(sets)
 
 
 def _least_counterexample(ladder: tuple, n: int) -> Optional[tuple]:
     """The lexicographically least assignment with d_n != 1, or None."""
-    g, _, sets = ladder
+    g, sets = ladder
     last = len(sets) - 1
     start = sets[min(n, last)]
     if not start:
@@ -150,12 +152,23 @@ def depth_leq_via_identity(
     return cex is None, cex
 
 
-@dataclass(frozen=True)
-class DepthReport:
+@dataclass(init=False, repr=False, eq=False)
+class DepthReport(_Frozen):
     algebra: FiniteHilbertAlgebra
     depth: int
     rows: tuple  # (n, depth <= n, d_n holds, agree)
     counterexamples: dict  # n -> least failing assignment
+
+    def __init__(
+        self,
+        algebra: FiniteHilbertAlgebra,
+        depth: int,
+        rows: tuple,
+        counterexamples: dict,
+    ):
+        self.__dict__.update(
+            algebra=algebra, depth=depth, rows=rows, counterexamples=counterexamples
+        )
 
     @property
     def all_agree(self) -> bool:
@@ -183,12 +196,15 @@ def verify_main_theorem(A: FiniteHilbertAlgebra, n_max: int) -> DepthReport:
 # proof procedure 1: counterexample -> chain of meet-irreducibles
 
 
-@dataclass(frozen=True)
-class ChainWitness:
+@dataclass(init=False, repr=False, eq=False)
+class ChainWitness(_Frozen):
     """Strictly increasing meet-irreducible filters F_0 < ... < F_n."""
 
     algebra: FiniteHilbertAlgebra
     filters: tuple
+
+    def __init__(self, algebra: FiniteHilbertAlgebra, filters: tuple):
+        self.__dict__.update(algebra=algebra, filters=filters)
 
 
 def chain_from_counterexample(
@@ -277,12 +293,15 @@ def _is_spectrum_chain(A: FiniteHilbertAlgebra, fs: tuple) -> bool:
 # proof procedure 2: chain of meet-irreducibles -> chain subuniverse
 
 
-@dataclass(frozen=True)
-class SubalgebraChainWitness:
+@dataclass(init=False, repr=False, eq=False)
+class SubalgebraChainWitness(_Frozen):
     """Elements a_0 < ... < a_n < 1 forming a subuniverse with a_n outside F_0."""
 
     algebra: FiniteHilbertAlgebra
     elements: tuple
+
+    def __init__(self, algebra: FiniteHilbertAlgebra, elements: tuple):
+        self.__dict__.update(algebra=algebra, elements=elements)
 
 
 def subalgebra_from_chain(

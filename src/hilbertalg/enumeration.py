@@ -31,7 +31,7 @@ from itertools import combinations, compress, permutations
 from operator import itemgetter
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from .core import FiniteHilbertAlgebra, bit, iter_bits, subset_of
+from .core import FiniteHilbertAlgebra, _Frozen, bit, iter_bits, subset_of
 from .errors import RangeError, SizeLimitError
 from .filters import depth
 
@@ -65,10 +65,14 @@ def enum_cap() -> int:
 # posets
 
 
-@dataclass(frozen=True)
-class Poset:
+@dataclass(init=False, repr=False, eq=False)
+class Poset(_Frozen):
     size: int
     leq: tuple  # tuple of row tuples of bool
+
+    def __init__(self, size: int, leq: tuple):
+        self.__dict__.update(size=size, leq=leq)
+        self.__post_init__()
 
     def __post_init__(self):
         n, leq = self.size, self.leq
@@ -279,8 +283,8 @@ def all_posets(k: int, up_to_iso: bool = False) -> List[Poset]:
 # Heyting algebras of upsets
 
 
-@dataclass(frozen=True)
-class HeytingAlgebra:
+@dataclass(init=False, repr=False, eq=False)
+class HeytingAlgebra(_Frozen):
     """Upsets of a poset: meet/join are intersection/union of masks,
     arrow is the relative pseudo-complement."""
 
@@ -289,6 +293,13 @@ class HeytingAlgebra:
     arrow: tuple  # index table
     top: int
     bottom: int
+
+    def __init__(
+        self, poset: Poset, carrier: tuple, arrow: tuple, top: int, bottom: int
+    ):
+        self.__dict__.update(
+            poset=poset, carrier=carrier, arrow=arrow, top=top, bottom=bottom
+        )
 
     def index_of(self, mask: int) -> int:
         return self.carrier.index(mask)

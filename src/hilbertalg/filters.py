@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteHilbertAlgebra, bit, iter_bits, subset_of
+from .core import FiniteHilbertAlgebra, _Frozen, bit, iter_bits, subset_of
 from .errors import PreconditionError
 
 
@@ -56,10 +56,13 @@ def _by_size(masks) -> tuple:
 # the lattice of all filters
 
 
-@dataclass(frozen=True)
-class FilterLattice:
+@dataclass(init=False, repr=False, eq=False)
+class FilterLattice(_Frozen):
     algebra: FiniteHilbertAlgebra
     filters: tuple  # masks, sorted by (popcount, mask)
+
+    def __init__(self, algebra: FiniteHilbertAlgebra, filters: tuple):
+        self.__dict__.update(algebra=algebra, filters=filters)
 
 
 def all_filters(A: FiniteHilbertAlgebra) -> FilterLattice:
@@ -115,12 +118,15 @@ def _build_spectrum(A: FiniteHilbertAlgebra) -> tuple:
     return _by_size(spectrum)
 
 
-@dataclass(frozen=True)
-class SpectrumPoset:
+@dataclass(init=False, repr=False, eq=False)
+class SpectrumPoset(_Frozen):
     """Meet-irreducible filters under inclusion (the spectrum A_*)."""
 
     algebra: FiniteHilbertAlgebra
     filters: tuple  # masks, sorted by (popcount, mask)
+
+    def __init__(self, algebra: FiniteHilbertAlgebra, filters: tuple):
+        self.__dict__.update(algebra=algebra, filters=filters)
 
     def __contains__(self, F: int) -> bool:
         return F in self.filters

@@ -6,21 +6,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .core import _BYTE_VALUES, FiniteHilbertAlgebra, bit, iter_bits
+from .core import _BYTE_VALUES, FiniteHilbertAlgebra, _Frozen, bit, iter_bits
 from .errors import InternalInvariantError, InvalidAlgebraError, NotAFilterError
 from .filters import all_filters
 
 
-@dataclass(frozen=True)
-class Congruence:
+@dataclass(init=False, repr=False, eq=False)
+class Congruence(_Frozen):
     blocks: tuple  # disjoint masks covering the universe, by least member
     class_of: tuple  # element -> block index
 
+    def __init__(self, blocks: tuple, class_of: tuple):
+        self.__dict__.update(blocks=blocks, class_of=class_of)
 
-@dataclass(frozen=True)
-class QuotientResult:
+
+@dataclass(init=False, repr=False, eq=False)
+class QuotientResult(_Frozen):
     algebra: FiniteHilbertAlgebra
     projection: tuple  # element -> quotient element
+
+    def __init__(self, algebra: FiniteHilbertAlgebra, projection: tuple):
+        self.__dict__.update(algebra=algebra, projection=projection)
 
 
 def theta(A: FiniteHilbertAlgebra, F: int) -> Congruence:

@@ -1,10 +1,18 @@
+import copy
+import dataclasses
 import enum
+import importlib
 import itertools
+import pickle
+import pkgutil
 import random
 import re
 import subprocess
 import sys
+import types
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -23,9 +31,31 @@ from hilbertalg import (
     subset_of,
     validate,
 )
-from hilbertalg.core import iter_bits, mask_str
+from hilbertalg.core import ValidationReport, iter_bits, mask_str
+from hilbertalg.depth_terms import (
+    ChainWitness,
+    DepthReport,
+    SubalgebraChainWitness,
+    chain_from_counterexample,
+    depth_leq_via_identity,
+    subalgebra_from_chain,
+    verify_main_theorem,
+)
 from hilbertalg.errors import RangeError, UnboundVariableError
-from hilbertalg.enumeration import all_posets, enumerate_hilbert, heyting_from_poset
+from hilbertalg.enumeration import (
+    HeytingAlgebra,
+    Poset,
+    all_posets,
+    enumerate_hilbert,
+    heyting_from_poset,
+)
+from hilbertalg.filters import (
+    FilterLattice,
+    SpectrumPoset,
+    all_filters,
+    meet_irreducibles,
+)
+from hilbertalg.quotient import Congruence, QuotientResult
 from oracles import (
     closure_by_rounds,
     fan,
@@ -293,6 +323,276 @@ def test_mask_helpers():
     assert list(iter_bits(mask)) == [0, 3, 5]
     assert mask_str(mask) == "{0,3,5}"
     assert mask_str(mask, ["a", "b", "c", "d", "e", "f"]) == "{a,d,f}"
+
+
+TWO = ((1, 1), (0, 1))  # the two-element algebra 0 < 1, top 1
+TWO_REPR = "FiniteHilbertAlgebra(size=2, arrow=((1, 1), (0, 1)), top=1, names=None)"
+CHAIN2 = ((True, True), (False, True))  # the poset 0 < 1
+UP_CHAIN2 = ((2, 2, 2), (0, 2, 2), (0, 1, 2))  # its upset algebra's arrow
+
+
+class ValueTypeCase(NamedTuple):
+    """A value type, its fields in order, the arguments of two unequal
+    values, and the first value's repr as @dataclass(frozen=True) prints it."""
+
+    cls: type
+    names: tuple
+    args: tuple
+    other_args: tuple
+    repr: str
+
+
+def _value_type_cases():
+    A = FiniteHilbertAlgebra(2, TWO, 1)
+    P = Poset(2, CHAIN2)
+    rows = ((0, False, False, True), (1, True, True, True))
+    cases = [
+        (Var, ("index",), (0,), (1,), "Var(index=0)"),
+        (
+            Imp,
+            ("left", "right"),
+            (Var(0), Var(1)),
+            (Var(1), Var(0)),
+            "Imp(left=Var(index=0), right=Var(index=1))",
+        ),
+        (
+            ValidationReport,
+            ("size", "violations"),
+            (2, ()),
+            (2, (("unit", (0,)),)),
+            "ValidationReport(size=2, violations=())",
+        ),
+        (
+            FiniteHilbertAlgebra,
+            ("size", "arrow", "top", "names"),
+            (2, TWO, 1, None),
+            (2, TWO, 1, ("a", "b")),
+            TWO_REPR,
+        ),
+        (
+            FilterLattice,
+            ("algebra", "filters"),
+            (A, (2, 3)),
+            (A, (3,)),
+            f"FilterLattice(algebra={TWO_REPR}, filters=(2, 3))",
+        ),
+        (
+            SpectrumPoset,
+            ("algebra", "filters"),
+            (A, (2,)),
+            (A, ()),
+            f"SpectrumPoset(algebra={TWO_REPR}, filters=(2,))",
+        ),
+        (
+            Congruence,
+            ("blocks", "class_of"),
+            ((1, 2), (0, 1)),
+            ((3,), (0, 0)),
+            "Congruence(blocks=(1, 2), class_of=(0, 1))",
+        ),
+        (
+            QuotientResult,
+            ("algebra", "projection"),
+            (A, (0, 1)),
+            (A, (1, 1)),
+            f"QuotientResult(algebra={TWO_REPR}, projection=(0, 1))",
+        ),
+        (
+            DepthReport,
+            ("algebra", "depth", "rows", "counterexamples"),
+            (A, 1, rows, {0: (0,)}),
+            (A, 1, rows, {0: (1,)}),
+            f"DepthReport(algebra={TWO_REPR}, depth=1, rows=((0, False, False, True),"
+            " (1, True, True, True)), counterexamples={0: (0,)})",
+        ),
+        (
+            ChainWitness,
+            ("algebra", "filters"),
+            (A, (2,)),
+            (A, (3,)),
+            f"ChainWitness(algebra={TWO_REPR}, filters=(2,))",
+        ),
+        (
+            SubalgebraChainWitness,
+            ("algebra", "elements"),
+            (A, (0,)),
+            (A, (1,)),
+            f"SubalgebraChainWitness(algebra={TWO_REPR}, elements=(0,))",
+        ),
+        (
+            Poset,
+            ("size", "leq"),
+            (2, CHAIN2),
+            (2, ((True, False), (False, True))),
+            "Poset(size=2, leq=((True, True), (False, True)))",
+        ),
+        (
+            HeytingAlgebra,
+            ("poset", "carrier", "arrow", "top", "bottom"),
+            (P, (0, 2, 3), UP_CHAIN2, 2, 0),
+            (P, (0, 2, 3), UP_CHAIN2, 2, 1),
+            "HeytingAlgebra(poset=Poset(size=2, leq=((True, True), (False, True))),"
+            " carrier=(0, 2, 3), arrow=((2, 2, 2), (0, 2, 2), (0, 1, 2)),"
+            " top=2, bottom=0)",
+        ),
+    ]
+    return [ValueTypeCase(*case) for case in cases]
+
+
+VALUE_TYPE_CASES = _value_type_cases()
+
+
+def _class_functions(cls):
+    """(name, function) for each function in cls's own dict, unwrapped from
+    cached_property, property, staticmethod and classmethod."""
+    for name, attr in vars(cls).items():
+        if isinstance(attr, cached_property):
+            attr = attr.func
+        elif isinstance(attr, property):
+            attr = attr.fget
+        elif isinstance(attr, (staticmethod, classmethod)):
+            attr = attr.__func__
+        if isinstance(attr, types.FunctionType):
+            yield name, attr
+
+
+each_value_type = pytest.mark.parametrize(
+    "case", VALUE_TYPE_CASES, ids=[case.cls.__name__ for case in VALUE_TYPE_CASES]
+)
+
+
+class TestValueTypes:
+    """The 13 value types are immutable, and compare, hash and print by
+    their fields, exactly as @dataclass(frozen=True) made them."""
+
+    @each_value_type
+    def test_fields_and_construction(self, case):
+        cls, names, args = case.cls, case.names, case.args
+        assert tuple(f.name for f in dataclasses.fields(cls)) == names
+        assert cls.__match_args__ == names
+        assert dataclasses.is_dataclass(cls)
+        by_position = cls(*args)
+        by_keyword = cls(**dict(zip(names, args)))
+        assert by_position == by_keyword
+        assert tuple(getattr(by_keyword, name) for name in names) == args
+        with pytest.raises(TypeError):
+            cls(*args, None)
+
+    @each_value_type
+    def test_equality_and_hash(self, case):
+        cls, args = case.cls, case.args
+        value, same = cls(*args), cls(*copy.deepcopy(args))
+        other = cls(*case.other_args)
+        assert value == same and not value != same
+        assert value != other and not value == other
+        assert value != args and value.__eq__(args) is NotImplemented
+        if cls is DepthReport:  # its counterexamples are a dict
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
+            assert hash(value) == hash(same) == hash(args)
+            assert len({value, same, other}) == 2
+
+    @each_value_type
+    def test_repr(self, case):
+        assert repr(case.cls(*case.args)) == case.repr
+
+    @each_value_type
+    def test_frozen(self, case):
+        value = case.cls(*case.args)
+        for name in case.names + ("not_a_field",):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(value, name)
+        assert value == case.cls(*case.args)
+
+    @each_value_type
+    def test_pickle_and_deepcopy(self, case):
+        value = case.cls(*case.args)
+        for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(twin) is case.cls and twin == value and repr(twin) == case.repr
+
+    def test_defaults(self):
+        defaults = {
+            case.cls: [
+                (f.name, f.default)
+                for f in dataclasses.fields(case.cls)
+                if f.default is not dataclasses.MISSING
+            ]
+            for case in VALUE_TYPE_CASES
+        }
+        assert defaults.pop(FiniteHilbertAlgebra) == [("names", None)]
+        assert not any(defaults.values())
+        assert FiniteHilbertAlgebra(2, TWO, 1).names is None
+        assert FiniteHilbertAlgebra(2, TWO, 1) == FiniteHilbertAlgebra(2, TWO, 1, None)
+
+    def test_lattice_never_equals_spectrum(self):
+        A = chain_algebra(2)
+        filters = meet_irreducibles(A).filters
+        lattice, spectrum = FilterLattice(A, filters), SpectrumPoset(A, filters)
+        chain = ChainWitness(A, filters)
+        assert lattice != spectrum and spectrum != lattice
+        assert spectrum != chain and chain != spectrum
+        assert hash(lattice) == hash(spectrum) == hash(chain)
+        assert len({lattice, spectrum, chain}) == 3
+
+    def test_replace_as_the_corruption_demo_does(self):
+        A = chain_algebra(2)
+        report = verify_main_theorem(A, 2)
+        cex = {0: (1,), 1: (0, 1)}
+        corrupted = dataclasses.replace(report, counterexamples=cex)
+        assert type(corrupted) is DepthReport
+        assert corrupted.rows == report.rows and corrupted != report
+        assert report.counterexamples == {0: (0,), 1: (0, 1)}
+        _, cex = depth_leq_via_identity(A, 1)
+        sub = subalgebra_from_chain(A, chain_from_counterexample(A, cex, 1))
+        flipped = dataclasses.replace(sub, elements=sub.elements[::-1])
+        assert type(flipped) is SubalgebraChainWitness
+        assert flipped.elements == (1, 0) and sub.elements == (0, 1)
+        assert dataclasses.asdict(flipped)["elements"] == (1, 0)
+
+    def test_replace_checks_the_poset_order(self):
+        P = Poset(2, CHAIN2)
+        with pytest.raises(RangeError, match="antisymmetric"):
+            dataclasses.replace(P, leq=((True, True), (True, True)))
+        with pytest.raises(RangeError, match="reflexive"):
+            Poset(size=2, leq=((False, True), (False, True)))
+        antichain = dataclasses.replace(P, leq=((True, False), (False, True)))
+        assert antichain.leq == ((True, False), (False, True))
+
+    def test_memos_appear_only_after_first_use(self):
+        A = FiniteHilbertAlgebra.from_table(chain_algebra(3).arrow)
+        memos = {"_filter_lattice", "_spectrum", "_d_ladder"}
+        assert set(vars(A)) == {"size", "arrow", "top", "names"}
+        before = (repr(A), hash(A))
+        meet_irreducibles(A)
+        assert memos & set(vars(A)) == {"_spectrum"}
+        all_filters(A)
+        assert memos & set(vars(A)) == {"_spectrum", "_filter_lattice"}
+        depth_leq_via_identity(A, 1)
+        assert memos <= set(vars(A))
+        assert (repr(A), hash(A)) == before and A == chain_algebra(3)
+
+    def test_no_code_compiled_at_import(self):
+        """Every method of a hilbertalg class is compiled from its module's
+        file: none is generated as source text and compiled with exec, as
+        @dataclass(frozen=True) does for six methods of each class."""
+        modules = [hilbertalg] + [
+            importlib.import_module(f"hilbertalg.{info.name}")
+            for info in pkgutil.iter_modules(hilbertalg.__path__)
+        ]
+        checked, compiled_elsewhere = 0, []
+        for module in modules:
+            for cls in vars(module).values():
+                if not isinstance(cls, type) or cls.__module__ != module.__name__:
+                    continue
+                for name, function in _class_functions(cls):
+                    checked += 1
+                    if function.__code__.co_filename != module.__file__:
+                        compiled_elsewhere.append(f"{cls.__qualname__}.{name}")
+        assert checked > 0
+        assert compiled_elsewhere == []
 
 
 REIMPORT = """

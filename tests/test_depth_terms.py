@@ -144,7 +144,7 @@ class TestVerifyMainTheorem:
     def test_failure_sets_stop_at_first_empty(self, trivial, fork):
         for A in (trivial, fork, chain_algebra(3), chain_algebra(16), fan(6)):
             assert depth_leq_via_identity(A, 10**6) == (True, None)
-            _, _, sets = A._d_ladder
+            _, sets = A._d_ladder
             assert len(sets) == depth(A) + 1 <= A.size
             assert not sets[-1]
             report = verify_main_theorem(A, 40)
@@ -175,10 +175,9 @@ class TestLadder:
 
     def test_against_the_cell_by_cell_table(self):
         for A in ladder_set():
-            rows, reach, sets = A._d_ladder
+            rows, sets = A._d_ladder
             g = g_table_by_cells(A)
             assert [list(row) for row in rows] == g, A.arrow
-            assert reach == tuple(subset_of(row) for row in g)
             assert list(sets) == failure_sets_by_definition(A, len(sets) - 1)
             assert all(T & S == T and T != S for S, T in zip(sets, sets[1:]))
             assert not sets[-1] and len(sets) == depth(A) + 1
