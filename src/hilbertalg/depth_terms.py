@@ -87,8 +87,8 @@ def _build_ladder(A: FiniteHilbertAlgebra) -> tuple:
     g[v] holds g(v, x) for every x, as bytes; sets holds T_0 > T_1 > ...
     as masks, and T_j for every j past the last entry equals the last
     entry.  The build steps through reach[v], the mask of the values in
-    g[v], which is not kept.  A plain tuple, because a
-    class here would be built at every import of the package.
+    g[v], which is not kept.  A plain tuple, because a class here would
+    be built at every import of the package.
 
     Column x of g, the values g(v, x) over v, is row x of the table (the
     map v |-> x -> v) mapped twice through column x (the map y |-> y -> x).
