@@ -8,7 +8,7 @@ import sys
 from .core import MAX_UNIVERSE, mask_str, subset_of
 from .depth_terms import verify_main_theorem
 from .dot import hasse_covers, poset_dot
-from .enumeration import enum_cap, enumerate_hilbert
+from .enumeration import _enumerate_levels, enum_cap, enumerate_hilbert
 from .errors import (
     AlgebraFileError,
     HilbertError,
@@ -108,9 +108,7 @@ def _print_report(A, report) -> None:
 def cmd_verify(args) -> int:
     nmax = args.nmax
     if args.enumerate is not None:
-        algebras = []
-        for size in range(1, args.enumerate + 1):
-            algebras.extend(enumerate_hilbert(size))
+        algebras = [A for level in _enumerate_levels(args.enumerate) for A in level]
         pairs = 0
         bad = 0
         for A in algebras:

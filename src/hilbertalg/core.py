@@ -57,6 +57,18 @@ def mask_str(mask: int, names: Optional[Sequence[str]] = None) -> str:
     return "{" + ",".join(names[i] for i in iter_bits(mask)) + "}"
 
 
+def _repeated_name(names: Sequence[str]) -> Optional[str]:
+    """The first name in `names` that an earlier one equals, or None.
+    Element names must be distinct, or a name would not say which
+    element it stands for."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # value types
 
@@ -73,11 +85,11 @@ class _Frozen:
     __init__, which stores the fields with self.__dict__.update.  The
     subclasses stay dataclasses, declared with init=False, repr=False and
     eq=False, which compiles nothing, so dataclasses.fields, replace,
-    asdict and __match_args__ still work.  Each __init__ annotates its
-    parameters as the fields are annotated, so the __doc__ that dataclass
-    writes for a class without a docstring is the same.  cached_property
-    writes to __dict__ directly, so memos that are not fields are kept as
-    before.
+    asdict and __match_args__ still work.  Every subclass has a
+    docstring: for a class without one, dataclass writes __doc__ from
+    inspect.signature, a large part of importing the package.
+    cached_property writes to __dict__ directly, so memos that are not
+    fields are kept as before.
     """
 
     __slots__ = ()
@@ -113,6 +125,8 @@ class _Frozen:
 
 @dataclass(init=False, repr=False, eq=False)
 class Var(_Frozen):
+    """The variable x_index of a term."""
+
     index: int
 
     def __init__(self, index: int):
@@ -121,6 +135,8 @@ class Var(_Frozen):
 
 @dataclass(init=False, repr=False, eq=False)
 class Imp(_Frozen):
+    """The term left -> right."""
+
     left: "Term"
     right: "Term"
 
@@ -253,6 +269,9 @@ def axioms_hold(table, n: int, top: int) -> bool:
 
 @dataclass(init=False, repr=False, eq=False)
 class FiniteHilbertAlgebra(_Frozen):
+    """A finite Hilbert algebra on 0..size-1: arrow[a][b] is a -> b, top
+    is 1, and names, when given, label the elements."""
+
     size: int
     arrow: tuple  # tuple of row tuples
     top: int
@@ -273,6 +292,9 @@ class FiniteHilbertAlgebra(_Frozen):
             names = tuple(str(x) for x in names)
             if len(names) != n:
                 raise RangeError(f"{len(names)} names for {n} elements")
+            repeated = _repeated_name(names)
+            if repeated is not None:
+                raise RangeError(f"names must be distinct, {repeated!r} is repeated")
         return cls(
             size=n,
             arrow=tuple(tuple(row) for row in table),

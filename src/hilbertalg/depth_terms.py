@@ -154,6 +154,9 @@ def depth_leq_via_identity(
 
 @dataclass(init=False, repr=False, eq=False)
 class DepthReport(_Frozen):
+    """depth(A) <= n against A |= d_n = 1 for each n up to a bound, with
+    the least counterexample for each n where d_n fails."""
+
     algebra: FiniteHilbertAlgebra
     depth: int
     rows: tuple  # (n, depth <= n, d_n holds, agree)

@@ -8,18 +8,25 @@ subalgebra.  enumerate_hilbert(n) therefore grows the classes of size n
 from the class representatives of size n - 1, as _class_codes grows
 posets by a new maximal point.  Each representative gets a new element
 z, and a backtracking search (_grow) fills z's row and column, the only
-new cells.  Each table found is keyed by its canonical form (the
-lexicographically least table over the permutations fixing the top at
-n-1), computed once per distinct table, and the classes come out in
-ascending canonical-table order.
+new cells.  Both generators follow the orderly rule (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998): a
+candidate is dropped as soon as its new element cannot be the one
+chosen for deletion, a minimal element with a largest up-set (a
+maximal point with a largest down-set for posets).  Each table left is
+keyed by its canonical form (the lexicographically least table over
+the permutations fixing the top at n-1), computed once per distinct
+table, and the classes come out in ascending canonical-table order.
+Each poset left is keyed by its least code (_least_code).
 
-The least poset codes of each number of points are cached as tuples,
-so each level is built once per process; only all_posets reads them.
-The canonical tables are not cached.  enumerate_hilbert and the CLI's
-verify --enumerate both walk the sizes 1..n, and a shared cache would
+The least poset codes of each number of points are cached, with the
+down-set masks of the posets they code, so each level is built once
+per process; only all_posets reads them.  The canonical tables are not
+cached.  enumerate_hilbert and the CLI's verify --enumerate
+(_enumerate_levels) both walk the sizes 1..n, and a shared cache would
 make the cost of either depend on whether the other ran first.  Each
-call builds each size up to n once.  enumerate_hilbert and all_posets
-build new, validated objects on every call.
+call builds each size up to n once.  enumerate_hilbert,
+_enumerate_levels and all_posets build new, validated objects on every
+call.
 """
 
 from __future__ import annotations
@@ -38,8 +45,9 @@ from .filters import depth
 DEFAULT_ENUM_CAP = 5
 ENUM_CAP_ENV = "HILBERT_SIZE_CAP"
 # The largest size enumerate_hilbert is measured to finish: size 7 takes
-# about 1 s and size 8 about 75 s (Python 3.11, one core).  Size 9 would
-# key each table over 8! relabellings.
+# about 0.7 s and size 8 about 49 s, 5,850 tables keyed over 7!
+# relabellings each (Python 3.11, one core).  Size 9 would key each table
+# over 8! relabellings.
 _MAX_ENUM_CAP = 8
 
 
@@ -67,6 +75,9 @@ def enum_cap() -> int:
 
 @dataclass(init=False, repr=False, eq=False)
 class Poset(_Frozen):
+    """A partial order on 0..size-1, leq[a][b] being a <= b; checked on
+    construction."""
+
     size: int
     leq: tuple  # tuple of row tuples of bool
 
@@ -114,12 +125,25 @@ class Poset(_Frozen):
 
 
 def _closed_masks(principal) -> List[int]:
-    """Masks m, ascending, with principal[x] inside m for every x in m."""
-    return [
-        mask
-        for mask in range(1 << len(principal))
-        if all(principal[x] & ~mask == 0 for x in iter_bits(mask))
-    ]
+    """Masks m, ascending, with principal[x] inside m for every x in m,
+    where principal[x] is the principal down-set (or up-set) of x in a
+    poset.
+
+    The closed sets are the unions of principal sets, listed directly
+    rather than by filtering all 2^k masks.  The points are taken in
+    order of decreasing principal-set size, and each set m listed so far
+    that lacks x gets a copy m | principal[x].  If y is in principal[x]
+    and y != x, then principal[y] is strictly inside principal[x], so y
+    comes later: adding a point's principal set forces only points not
+    yet decided.  So a point left out stays out, every closed set comes
+    from exactly one sequence of choices (take x exactly when x is in
+    it), and no set is listed twice.
+    """
+    masks = [0]
+    for x in sorted(range(len(principal)), key=lambda x: -principal[x].bit_count()):
+        p = principal[x]
+        masks += [m | p for m in masks if not m >> x & 1]
+    return sorted(masks)
 
 
 def _picker(indices) -> Callable[[Sequence], tuple]:
@@ -165,6 +189,19 @@ def _down_masks(k: int, code: tuple) -> tuple:
     return tuple(down)
 
 
+def _up_masks(down) -> list:
+    """The principal up-set masks of the poset with principal down-set
+    masks `down`: y is above x iff x is in down[y].  iter_bits is
+    inlined, as this is a large part of _least_code on few points."""
+    up = [0] * len(down)
+    for y, d in enumerate(down):
+        while d:
+            low = d & -d
+            up[low.bit_length() - 1] |= 1 << y
+            d ^= low
+    return up
+
+
 def _least_code(down) -> tuple:
     """The least code over all labellings of the poset with principal
     down-set masks `down` (see all_posets), found by partition refinement
@@ -191,41 +228,64 @@ def _least_code(down) -> tuple:
     are unlabelled, and swapping them is an automorphism that fixes the
     labelled points and every cell; so only one of each set of twins in
     the first cell is tried.
+
+    Choices are compared by counts, not rows.  Every state kept at level
+    a has the same ordered cell sizes: at level 0 there is one state,
+    and the cells of a state kept at level a + 1 are the non-empty
+    parts, in order, of cells of the sizes shared at level a, with the
+    sizes the shared least row a gives them.  So every choice at level
+    a writes row a as one block 0^c0 1^c1 2^c2 per cell (the first cell
+    less x), the block lengths are shared, and of two blocks of one
+    length the smaller is the one with the larger (c0, c1).  A choice is
+    keyed by its (c0, c1) per cell, and the largest key gives the least
+    row.  Cells are built only for the choices that tie for it, and the
+    row is written out once per level, from the first of them.
     """
     k = len(down)
-    up = [subset_of(y for y in range(k) if down[y] >> x & 1) for x in range(k)]
-    twin = [(down[x] ^ bit(x), up[x] ^ bit(x)) for x in range(k)]
-    code = ()
-    states = {(bit(k) - 1,)}
+    up = _up_masks(down)
+    strict = [(down[x] ^ 1 << x, up[x] ^ 1 << x) for x in range(k)]
+    code = []
+    states = {((1 << k) - 1,)}
     for _ in range(k - 1):
-        least, refined = None, set()
-        for head, *tail in states:
+        best, ties = None, []
+        for state in states:
             tried = set()
-            for x in iter_bits(head):
-                if twin[x] in tried:
+            for x in iter_bits(state[0]):
+                twin = strict[x]
+                if twin in tried:
                     continue
-                tried.add(twin[x])
-                ux, dx = up[x], down[x]
-                row, cells = [], []
-                for cell in (head ^ bit(x), *tail):
-                    for value, part in enumerate((cell & ~(ux | dx), cell & ux, cell & dx)):
-                        if part:
-                            cells.append(part)
-                            row += [value] * part.bit_count()
-                row = tuple(row)
-                if least is None or row < least:
-                    least, refined = row, {tuple(cells)}
-                elif row == least:
-                    refined.add(tuple(cells))
-        code += least
-        states = refined
-    return code
+                tried.add(twin)
+                above, other = twin[1], ~(up[x] | down[x])
+                key = []
+                for cell in state:
+                    key.append((cell & other).bit_count())
+                    key.append((cell & above).bit_count())
+                if best is None or key > best:
+                    best, ties = key, [(state, x)]
+                elif key == best:
+                    ties.append((state, x))
+        state, x = ties[0]
+        below = strict[x][0]
+        for cell, c0, c1 in zip(state, best[::2], best[1::2]):
+            code += [0] * c0 + [1] * c1 + [2] * (cell & below).bit_count()
+        states = set()
+        for state, x in ties:
+            below, above = strict[x]
+            other = ~(up[x] | down[x])
+            cells = []
+            for cell in state:
+                for part in (cell & other, cell & above, cell & below):
+                    if part:
+                        cells.append(part)
+            states.add(tuple(cells))
+    return tuple(code)
 
 
 @cache
-def _class_codes(k: int) -> Tuple[tuple, ...]:
-    """The least code of each isomorphism class of k-point posets,
-    ascending.
+def _class_codes(k: int) -> Tuple[Tuple[tuple, tuple], ...]:
+    """The least code of each isomorphism class of k-point posets, with
+    the principal down-set masks of the poset it codes, as (code, down)
+    pairs in ascending code order.
 
     Every class is reached by a representative on k-1 points plus a new
     maximal point k-1 above one of its down-sets, where the new point's
@@ -234,14 +294,14 @@ def _class_codes(k: int) -> Tuple[tuple, ...]:
     rest is isomorphic to a representative, with m above the image of
     its down-set and the other maximal points keeping theirs.  Candidates
     whose new point has a smaller down-set than a maximal point outside
-    it are skipped.  Each candidate is keyed by _least_code.  Cached:
-    each level is built once per process from the one below.
+    it are skipped.  Each candidate is keyed by _least_code, and each
+    class's code is decoded once.  Cached: each level is built once per
+    process from the one below.
     """
     if k == 0:
-        return ((),)
+        return (((), ()),)
     codes = set()
-    for code in _class_codes(k - 1):
-        down = _down_masks(k - 1, code)
+    for _, down in _class_codes(k - 1):
         tops = [
             (y, down[y].bit_count())
             for y in range(k - 1)
@@ -251,7 +311,7 @@ def _class_codes(k: int) -> Tuple[tuple, ...]:
             size = below.bit_count() + 1
             if all(below >> y & 1 or s <= size for y, s in tops):
                 codes.add(_least_code(down + (below | bit(k - 1),)))
-    return tuple(sorted(codes))
+    return tuple((code, _down_masks(k, code)) for code in sorted(codes))
 
 
 def all_posets(k: int, up_to_iso: bool = False) -> List[Poset]:
@@ -266,16 +326,24 @@ def all_posets(k: int, up_to_iso: bool = False) -> List[Poset]:
     """
     if k < 0:
         raise RangeError("number of points must be at least 0")
-    codes = _class_codes(k)
-    if not up_to_iso:
+    classes = _class_codes(k)
+    if up_to_iso:
+        downs = [down for _, down in classes]
+    else:
         relabellers = _code_relabellers(k)
-        flats = [_flat_relation(_down_masks(k, code)) for code in codes]
+        flats = [_flat_relation(down) for _, down in classes]
         codes = sorted({relabel(flat) for flat in flats for relabel in relabellers})
+        downs = [_down_masks(k, code) for code in codes]
+    rows = {}  # up-set mask -> row of leq, one tuple per distinct mask
     out = []
-    for code in codes:
-        down = _down_masks(k, code)
-        leq = tuple(tuple(bool(down[b] >> a & 1) for b in range(k)) for a in range(k))
-        out.append(Poset(size=k, leq=leq))
+    for down in downs:
+        leq = []
+        for up in _up_masks(down):
+            row = rows.get(up)
+            if row is None:
+                row = rows[up] = tuple(bool(up >> b & 1) for b in range(k))
+            leq.append(row)
+        out.append(Poset(size=k, leq=tuple(leq)))
     return out
 
 
@@ -406,6 +474,16 @@ def _grow(B: Sequence[int], m: int) -> Iterator[bytes]:
     B's elements are filled from the top down, each after every element
     above it.  As x->y >= y, the cells a pair reads are then set when
     the pair is checked.
+
+    Once row z is set, the search stops unless z has a largest up-set
+    among the minimal elements of A, |up(z)| being the elements w of B
+    with f(w) = 1, plus z and 1.  This still meets every class: delete
+    from any n-element algebra a minimal element with a largest up-set,
+    and what remains is a subalgebra isomorphic to a representative B,
+    so growing B meets the algebra with z in that role.  The other
+    minimal elements of A are the minimal elements w of B that z is not
+    below (f(w) != 1), and each keeps its up-set in B, since w <= z
+    would be c(w) = 1.
     """
     n = m + 1
     z, top = m - 1, m
@@ -419,6 +497,11 @@ def _grow(B: Sequence[int], m: int) -> Iterator[bytes]:
     f = t[z]  # z -> x, filled in place; z -> z = z -> 1 = 1 already
     up = [[y for y in labels if t[x][y] == top] for x in range(z)]
     order = sorted(range(z), key=lambda x: len(up[x]))
+    minimal = [
+        (w, len(up[w]))
+        for w in range(z)
+        if not any(y != w and t[y][w] == top for y in range(z))
+    ]
 
     def columns(i, values, done):
         if i == len(order):
@@ -438,6 +521,8 @@ def _grow(B: Sequence[int], m: int) -> Iterator[bytes]:
     def rows(i, done):
         if i == len(order):
             above = [z] + [w for w in order if f[w] == top]
+            if any(f[w] != top and size > len(above) + 1 for w, size in minimal):
+                return
             values = [
                 [w for w in above if all(t[x][f[y]] == t[w][t[x][y]] for y in order)]
                 for x in order
@@ -459,17 +544,33 @@ def _grow(B: Sequence[int], m: int) -> Iterator[bytes]:
     yield from rows(0, [])
 
 
+def _table_levels(n: int) -> List[Tuple[tuple, ...]]:
+    """The canonical flat tables of the Hilbert algebras of each size
+    1..n, each level ascending and grown from the level below."""
+    levels = [((0,),)]
+    for size in range(2, n + 1):
+        relabellers = _table_relabellers(size)
+        found = set()
+        for B in levels[-1]:
+            for flat in _grow(B, size - 1):
+                found.add(_canonical(flat, relabellers))
+        levels.append(tuple(sorted(found)))
+    return levels
+
+
 def _class_tables(n: int) -> Tuple[tuple, ...]:
     """The canonical flat tables of the n-element Hilbert algebras,
     ascending, each class grown from a class of n - 1 elements."""
-    if n == 1:
-        return ((0,),)
-    relabellers = _table_relabellers(n)
-    found = set()
-    for B in _class_tables(n - 1):
-        for flat in _grow(B, n - 1):
-            found.add(_canonical(flat, relabellers))
-    return tuple(sorted(found))
+    return _table_levels(n)[-1]
+
+
+def _algebras(flats, n: int) -> List[FiniteHilbertAlgebra]:
+    return [
+        FiniteHilbertAlgebra.from_table(
+            [list(flat[a * n : (a + 1) * n]) for a in range(n)]
+        )
+        for flat in flats
+    ]
 
 
 def enumerate_hilbert(
@@ -483,9 +584,16 @@ def enumerate_hilbert(
         cap = enum_cap()
     if n > cap:
         raise SizeLimitError(f"size {n} exceeds enumeration cap {cap}")
+    return _algebras(_class_tables(n), n)
+
+
+def _enumerate_levels(n: int) -> List[List[FiniteHilbertAlgebra]]:
+    """enumerate_hilbert(size) for each size 1..n, n >= 1, from one walk
+    up the sizes.  Above the cap it refuses the first size past it, as
+    calling enumerate_hilbert on each size in turn would."""
+    cap = enum_cap()
+    if n > cap:
+        raise SizeLimitError(f"size {cap + 1} exceeds enumeration cap {cap}")
     return [
-        FiniteHilbertAlgebra.from_table(
-            [list(flat[a * n : (a + 1) * n]) for a in range(n)]
-        )
-        for flat in _class_tables(n)
+        _algebras(flats, size) for size, flats in enumerate(_table_levels(n), start=1)
     ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from .core import FiniteHilbertAlgebra
+from .core import FiniteHilbertAlgebra, _repeated_name
 from .errors import AlgebraFileError
 
 
@@ -36,6 +36,9 @@ def parse_algebra_text(text: str) -> FiniteHilbertAlgebra:
         if not isinstance(names, list) or len(names) != size:
             raise AlgebraFileError(f"names must list {size} labels")
         names = [str(x) for x in names]
+        repeated = _repeated_name(names)
+        if repeated is not None:
+            raise AlgebraFileError(f"names must be distinct, {repeated!r} is repeated")
     return FiniteHilbertAlgebra.from_table(arrow, names=names)
 
 

@@ -58,6 +58,8 @@ def _by_size(masks) -> tuple:
 
 @dataclass(init=False, repr=False, eq=False)
 class FilterLattice(_Frozen):
+    """Every implicative filter of an algebra, as masks."""
+
     algebra: FiniteHilbertAlgebra
     filters: tuple  # masks, sorted by (popcount, mask)
 

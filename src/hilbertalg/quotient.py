@@ -13,6 +13,8 @@ from .filters import all_filters
 
 @dataclass(init=False, repr=False, eq=False)
 class Congruence(_Frozen):
+    """A congruence of an algebra, as its blocks and each element's block."""
+
     blocks: tuple  # disjoint masks covering the universe, by least member
     class_of: tuple  # element -> block index
 
@@ -22,6 +24,8 @@ class Congruence(_Frozen):
 
 @dataclass(init=False, repr=False, eq=False)
 class QuotientResult(_Frozen):
+    """The quotient algebra A/F and the projection of A onto it."""
+
     algebra: FiniteHilbertAlgebra
     projection: tuple  # element -> quotient element
 

@@ -367,6 +367,16 @@ def closure_by_rounds(A: FiniteHilbertAlgebra, X: int) -> int:
 # generation
 
 
+def closed_masks_by_filter(principal) -> list:
+    """_closed_masks by filtering all 2^k masks: the m, ascending, with
+    principal[x] inside m for every x in m."""
+    return [
+        mask
+        for mask in range(1 << len(principal))
+        if all(principal[x] & ~mask == 0 for x in iter_bits(mask))
+    ]
+
+
 def _natural_orders(k: int):
     """Orders on 0..k-1 in which a below b implies a < b, as the tuple of
     principal down-set masks.  Each is an order on 0..k-2 with the new

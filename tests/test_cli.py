@@ -73,6 +73,12 @@ class TestFiles:
         with pytest.raises(AlgebraFileError):
             parse_algebra_text('{"size": true, "arrow": [[0]]}')
 
+    @pytest.mark.parametrize("names", [["a", "a", "1"], ["0", "1", 1]])
+    def test_repeated_names_refused(self, names):
+        doc = dict(CHAIN3, names=names)
+        with pytest.raises(AlgebraFileError, match="names must be distinct"):
+            parse_algebra_text(json.dumps(doc))
+
 
 class TestCheck:
     def test_valid(self, algebra_file, capsys):
@@ -92,6 +98,19 @@ class TestCheck:
     def test_bool_size(self, algebra_file, capsys):
         assert main(["check", algebra_file({"size": True, "arrow": [[0]]})]) == 2
         assert "size must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["check"], ["analyze", "--spectrum"], ["verify"], ["quotient", "--filter", "a,1"]],
+    )
+    def test_repeated_names(self, algebra_file, capsys, command):
+        """A name given to two elements could not say which one it means:
+        with ["a", "a", "1"], {a,1} would print for two filters."""
+        path = algebra_file(dict(CHAIN3, names=["a", "a", "1"]))
+        assert main([command[0], path, *command[1:]]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: names must be distinct, 'a' is repeated\n"
 
     def test_bool_entries(self, algebra_file, capsys):
         doc = {"size": 2, "arrow": [[True, True], [False, True]]}
@@ -151,6 +170,15 @@ class TestVerify:
         assert main(["verify", "--enumerate", "6", "--nmax", "5"]) == 0
         out = capsys.readouterr().out
         assert "126 algebras checked, 756 (algebra,n) pairs, all agree" in out
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_enumerate_past_the_cap(self, monkeypatch, capsys, n):
+        """The first size past the cap is refused, with nothing on stdout."""
+        monkeypatch.delenv("HILBERT_SIZE_CAP", raising=False)
+        assert main(["verify", "--enumerate", str(n)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: size 6 exceeds enumeration cap 5\n"
 
     def test_single_chain(self, algebra_file, capsys):
         assert main(["verify", algebra_file(CHAIN3), "--nmax", "2"]) == 0

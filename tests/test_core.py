@@ -93,6 +93,13 @@ class TestValidate:
         with pytest.raises(RangeError):
             validate([[1, 1], [0]])
 
+    def test_repeated_names_refused(self):
+        chain3 = [[2, 2, 2], [0, 2, 2], [0, 1, 2]]
+        for names in (["a", "a", "1"], ["0", 1, "1"]):
+            with pytest.raises(RangeError, match="^names must be distinct, '[a1]' is repeated$"):
+                FiniteHilbertAlgebra.from_table(chain3, names=names)
+        assert FiniteHilbertAlgebra.from_table(chain3, names=["0", "a", "1"]).names == ("0", "a", "1")
+
     def test_non_constant_diagonal(self):
         report = validate([[0, 1], [0, 1]])
         assert not report.ok

@@ -23,7 +23,10 @@ from hilbertalg.enumeration import (
     _canonical,
     _class_codes,
     _class_tables,
+    _closed_masks,
     _code_relabellers,
+    _enumerate_levels,
+    _flat_relation,
     _grow,
     _least_code,
     _table_relabellers,
@@ -35,6 +38,7 @@ from oracles import (
     backtracked_hilbert_classes,
     canonical_by_scan,
     check_order_by_cells,
+    closed_masks_by_filter,
     closed_subsets,
     closure_hilbert_classes,
     least_code_by_scan,
@@ -189,6 +193,16 @@ class TestEnumerateHilbert:
                         for b in range(m)
                     )
 
+    def test_grown_table_counts(self):
+        """How many tables _grow yields from all representatives of each
+        size, with the minimal-element rule: without it, 38 at n = 5,
+        202 at n = 6 and 1,289 at n = 7."""
+        counts = {
+            n: sum(len(list(_grow(B, n - 1))) for B in _class_tables(n - 1))
+            for n in range(2, 8)
+        }
+        assert counts == {2: 1, 3: 2, 4: 7, 5: 28, 6: 139, 7: 805}
+
     def test_canonical_same_as_permutation_scan(self):
         """On every table enumerate_hilbert keys, on every closed-set table
         the closure generator keys, and on seeded relabellings of each
@@ -306,6 +320,20 @@ class TestEnumerateHilbert:
         with pytest.raises(RangeError):
             enumerate_hilbert(0)
 
+    def test_levels_same_as_each_size(self, monkeypatch):
+        """One walk gives enumerate_hilbert(size) for every size up to n,
+        and above the cap refuses the first size past it."""
+        levels = _enumerate_levels(5)
+        assert [[A.arrow for A in level] for level in levels] == [
+            [A.arrow for A in enumerate_hilbert(size)] for size in range(1, 6)
+        ]
+        for n in (6, 8):
+            with pytest.raises(SizeLimitError, match="^size 6 exceeds enumeration cap 5$"):
+                _enumerate_levels(n)
+        monkeypatch.setenv("HILBERT_SIZE_CAP", "3")
+        with pytest.raises(SizeLimitError, match="^size 4 exceeds enumeration cap 3$"):
+            _enumerate_levels(7)
+
     def test_new_objects_on_every_call(self):
         """Each call builds its tables and algebras afresh, with equal
         results."""
@@ -337,9 +365,27 @@ class TestPosets:
                 all_posets(-1, up_to_iso)
 
     def test_class_codes_same_as_relabelling_scan(self):
-        assert [list(_class_codes(k)) for k in range(7)] == [
+        """The codes are those of the k! scan, and the masks kept beside
+        each code are those of the poset it codes."""
+        assert [[code for code, _ in _class_codes(k)] for k in range(7)] == [
             scanned_class_codes(k) for k in range(7)
         ]
+        for k in range(7):
+            identity = _code_relabellers(k)[0]
+            for code, down in _class_codes(k):
+                assert identity(_flat_relation(down)) == code
+
+    def test_closed_masks_same_as_filter(self):
+        """Down-sets and up-sets of every labelled poset with at most 5
+        points and of every six-point class."""
+        posets = [P for k in range(6) for P in all_posets(k)]
+        posets += all_posets(6, up_to_iso=True)
+        for P in posets:
+            k = P.size
+            up = [P.upset_mask(x) for x in range(k)]
+            down = [sum(1 << a for a in range(k) if P.leq[a][b]) for b in range(k)]
+            for principal in (up, down):
+                assert _closed_masks(principal) == closed_masks_by_filter(principal), P
 
     def test_class_codes_rebuilt_equal(self):
         """The codes are cached; a rebuild after clearing gives equal
@@ -359,6 +405,32 @@ class TestPosets:
                     sum(1 << a for a in range(k) if P.leq[a][b]) for b in range(k)
                 )
                 assert _least_code(down) == least_code_by_scan(down, relabellers), P
+
+    def test_least_code_same_as_scan_on_relabelled_six_point_classes(self):
+        """On two seeded relabellings of every six-point class."""
+        rng = random.Random(16)
+        relabellers = _code_relabellers(6)
+        for code, down in _class_codes(6):
+            for _ in range(2):
+                q = rng.sample(range(6), 6)  # point x becomes q[x]
+                moved = [0] * 6
+                for x in range(6):
+                    moved[q[x]] = sum(1 << q[a] for a in iter_bits(down[x]))
+                moved = tuple(moved)
+                assert _least_code(moved) == least_code_by_scan(moved, relabellers) == code
+
+    @pytest.mark.slow
+    def test_eight_point_classes(self):
+        """16,999 classes on 8 points (OEIS A000112), ascending by code,
+        each code least for its poset."""
+        identity = _code_relabellers(8)[0]
+        codes = []
+        for P in all_posets(8, up_to_iso=True):
+            down = tuple(sum(1 << a for a in range(8) if P.leq[a][b]) for b in range(8))
+            codes.append(identity(_flat_relation(down)))
+            assert _least_code(down) == codes[-1]
+        assert len(codes) == 16999
+        assert codes == sorted(set(codes))
 
     def test_same_as_natural_order_relabelling(self):
         # k <= 4 is covered by test_same_as_relation_scan
