@@ -41,20 +41,6 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _spectrum_shape(spectrum) -> str:
-    fs = spectrum.filters
-    comparable = [
-        spectrum.leq(F, G) or spectrum.leq(G, F)
-        for i, F in enumerate(fs)
-        for G in fs[i + 1 :]
-    ]
-    if all(comparable):
-        return "chain"
-    if not any(comparable):
-        return "antichain"
-    return "poset"
-
-
 def cmd_analyze(args) -> int:
     A = load_algebra(args.path)
     lattice = all_filters(A)
@@ -66,13 +52,16 @@ def cmd_analyze(args) -> int:
     if m == 0:
         print(f"{k} filter{plural}, spectrum 0, depth {d}")
     else:
-        print(f"{k} filter{plural}, spectrum {m} ({_spectrum_shape(spectrum)}), depth {d}")
+        # d is the longest chain: all m points form one iff d == m, and
+        # no two are comparable iff d == 1 (m == 1 is a chain).
+        shape = "chain" if d == m else "antichain" if d == 1 else "poset"
+        print(f"{k} filter{plural}, spectrum {m} ({shape}), depth {d}")
     label = lambda F: mask_str(F, A.names)
     if args.filters:
         for F in lattice.filters:
             print(f"  filter {label(F)}")
+    covers = hasse_covers(spectrum.filters, spectrum.leq)
     if args.spectrum or m:
-        covers = hasse_covers(spectrum.filters, spectrum.leq)
         rel = ", ".join(
             f"{label(spectrum.filters[i])} < {label(spectrum.filters[j])}"
             for i, j in covers
@@ -84,13 +73,11 @@ def cmd_analyze(args) -> int:
     if args.depth:
         print(f"depth: {d}")
     if args.dot:
-        subset_leq = lambda F, G: F & G == F
-        lattice_covers = hasse_covers(lattice.filters, subset_leq)
+        lattice_covers = hasse_covers(lattice.filters, spectrum.leq)  # inclusion
         with open(args.dot + "-filters.dot", "w", encoding="utf-8") as fh:
             fh.write(poset_dot([label(F) for F in lattice.filters], lattice_covers, "filters"))
-        spec_covers = hasse_covers(spectrum.filters, subset_leq)
         with open(args.dot + "-spectrum.dot", "w", encoding="utf-8") as fh:
-            fh.write(poset_dot([label(F) for F in spectrum.filters], spec_covers, "spectrum"))
+            fh.write(poset_dot([label(F) for F in spectrum.filters], covers, "spectrum"))
     return EXIT_OK
 
 

@@ -40,7 +40,6 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import FiniteHilbertAlgebra, _Frozen, bit, iter_bits, subset_of
 from .errors import RangeError, SizeLimitError
-from .filters import depth
 
 DEFAULT_ENUM_CAP = 5
 ENUM_CAP_ENV = "HILBERT_SIZE_CAP"
@@ -191,7 +190,8 @@ def _down_masks(k: int, code: tuple) -> tuple:
 
 def _up_masks(down) -> list:
     """The principal up-set masks of the poset with principal down-set
-    masks `down`: y is above x iff x is in down[y].  iter_bits is
+    masks `down`: y is above x iff x is in down[y].  Given the up-sets,
+    it gives the down-sets, those of the dual order.  iter_bits is
     inlined, as this is a large part of _least_code on few points."""
     up = [0] * len(down)
     for y, d in enumerate(down):
@@ -302,11 +302,8 @@ def _class_codes(k: int) -> Tuple[Tuple[tuple, tuple], ...]:
         return (((), ()),)
     codes = set()
     for _, down in _class_codes(k - 1):
-        tops = [
-            (y, down[y].bit_count())
-            for y in range(k - 1)
-            if not any(z != y and down[z] >> y & 1 for z in range(k - 1))
-        ]
+        up = _up_masks(down)
+        tops = [(y, down[y].bit_count()) for y in range(k - 1) if up[y] == 1 << y]
         for below in _closed_masks(down):
             size = below.bit_count() + 1
             if all(below >> y & 1 or s <= size for y, s in tops):
@@ -379,24 +376,27 @@ class HeytingAlgebra(_Frozen):
         return self.index_of(self.carrier[i] | self.carrier[j])
 
 
-def upsets(P: Poset) -> List[int]:
-    return _closed_masks([P.upset_mask(x) for x in range(P.size)])
-
-
 def heyting_from_poset(P: Poset) -> Tuple[HeytingAlgebra, FiniteHilbertAlgebra]:
     """The upset algebra of P and its implication reduct.
 
-    U -> V = {x : upset(x) & U <= V}.
+    U -> V is the set of x with upset(x) & U <= V, that is, the points
+    not below any point of U - V: P minus the down-set of U - V.  Each
+    cell ORs the principal down-sets of U - V, computed once.
     """
-    carrier = sorted(upsets(P))
-    index = {mask: i for i, mask in enumerate(carrier)}
     ups = [P.upset_mask(x) for x in range(P.size)]
+    downs = _up_masks(ups)
+    carrier = _closed_masks(ups)
+    index = {mask: i for i, mask in enumerate(carrier)}
     k = len(carrier)
+    full = (1 << P.size) - 1
     table = []
     for U in carrier:
         row = []
         for V in carrier:
-            row.append(index[sum(bit(x) for x in range(P.size) if ups[x] & U & ~V == 0)])
+            below = 0
+            for y in iter_bits(U & ~V):
+                below |= downs[y]
+            row.append(index[full & ~below])
         table.append(row)
     heyting = HeytingAlgebra(
         poset=P,
@@ -406,14 +406,6 @@ def heyting_from_poset(P: Poset) -> Tuple[HeytingAlgebra, FiniteHilbertAlgebra]:
         bottom=0,
     )
     return heyting, FiniteHilbertAlgebra.from_table(table)
-
-
-def reduct_depth_vs_poset(P: Poset) -> Tuple[int, int, bool]:
-    """Depth of the upset-algebra reduct vs the poset's longest chain."""
-    _, reduct = heyting_from_poset(P)
-    d = depth(reduct)
-    chain = P.longest_chain()
-    return d, chain, d == chain
 
 
 # ---------------------------------------------------------------------------

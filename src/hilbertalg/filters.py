@@ -14,30 +14,21 @@ from .errors import PreconditionError
 
 
 def is_implicative_filter(A: FiniteHilbertAlgebra, S: int) -> bool:
-    """Contains 1 and is closed under modus ponens."""
-    if not S >> A.top & 1:
-        return False
-    members = list(iter_bits(S))
-    for a in members:
-        row = A.arrow[a]
-        for b in range(A.size):
-            if S >> row[b] & 1 and not S >> b & 1:
-                return False
-    return True
+    """Contains 1 and is closed under modus ponens: S is its own closure."""
+    return fg_closure(A, S) == S
 
 
 def fg_closure(A: FiniteHilbertAlgebra, X: int) -> int:
-    """Least implicative filter containing X (iterated modus ponens)."""
-    F = X | bit(A.top)
-    changed = True
-    while changed:
-        changed = False
-        for a in iter_bits(F):
-            row = A.arrow[a]
-            for b in range(A.size):
-                if F >> row[b] & 1 and not F >> b & 1:
-                    F |= bit(b)
-                    changed = True
+    """Least implicative filter containing X.
+
+    Fg(X) is reached from {1} by adding the members of X one at a time,
+    and each step Fg(F | {a}) is one row of the table (_fg_with, the
+    deduction theorem).  A member already in F changes nothing.
+    """
+    F = bit(A.top)
+    for a in iter_bits(X):
+        if not F >> a & 1:
+            F = _fg_with(A, F, a)
     return F
 
 

@@ -120,6 +120,35 @@ def check_order_by_cells(n: int, leq) -> None:
 # filter generation
 
 
+def mp_closure(A: FiniteHilbertAlgebra, X: int) -> int:
+    """fg_closure by iterated modus ponens: add every b with a and a -> b
+    in the set until a whole round adds nothing."""
+    F = X | bit(A.top)
+    changed = True
+    while changed:
+        changed = False
+        for a in iter_bits(F):
+            row = A.arrow[a]
+            for b in range(A.size):
+                if F >> row[b] & 1 and not F >> b & 1:
+                    F |= bit(b)
+                    changed = True
+    return F
+
+
+def is_mp_closed(A: FiniteHilbertAlgebra, S: int) -> bool:
+    """is_implicative_filter by the definition: S contains 1, and b is in
+    S whenever a and a -> b are."""
+    if not S >> A.top & 1:
+        return False
+    for a in iter_bits(S):
+        row = A.arrow[a]
+        for b in range(A.size):
+            if S >> row[b] & 1 and not S >> b & 1:
+                return False
+    return True
+
+
 def fg_formula_member(A: FiniteHilbertAlgebra, X: int, a: int) -> bool:
     """Membership in Fg(X) via nested implications.
 
@@ -361,6 +390,27 @@ def closure_by_rounds(A: FiniteHilbertAlgebra, X: int) -> int:
                     closed |= bit(row[b])
                     changed = True
     return closed
+
+
+# ---------------------------------------------------------------------------
+# Heyting algebras of upsets
+
+
+def heyting_by_cells(P: Poset) -> tuple:
+    """The carrier and arrow table of heyting_from_poset, one cell at a
+    time: the upsets by closed_masks_by_filter, and U -> V the set of
+    points x with upset(x) & U <= V, scanned over every point."""
+    ups = [P.upset_mask(x) for x in range(P.size)]
+    carrier = closed_masks_by_filter(ups)
+    index = {mask: i for i, mask in enumerate(carrier)}
+    arrow = tuple(
+        tuple(
+            index[sum(bit(x) for x in range(P.size) if ups[x] & U & ~V == 0)]
+            for V in carrier
+        )
+        for U in carrier
+    )
+    return tuple(carrier), arrow
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from hilbertalg import (
     chain_from_counterexample,
     correspondence_check,
     d_term,
+    depth,
     depth_leq_via_identity,
     enumerate_hilbert,
     eval_term,
@@ -23,7 +24,6 @@ from hilbertalg import (
     find_isomorphism,
     heyting_from_poset,
     meet_irreducibles,
-    reduct_depth_vs_poset,
     separate,
     subalgebra_from_chain,
     subset_of,
@@ -65,7 +65,7 @@ def test_main_theorem_exhaustive(algebras):
 
 
 def test_filter_generation_oracles(algebras):
-    """Formula-based membership agrees exactly with iterative closure."""
+    """Formula-based membership agrees exactly with the library closure."""
     for size in range(1, 5):
         for A in algebras[size]:
             U = A.universe_mask()
@@ -164,9 +164,9 @@ def test_heyting_corollary():
     """Upset-algebra reduct depth equals the poset's longest chain."""
     for k in range(7):
         for P in all_posets(k, up_to_iso=True):
-            d, chain, agree = reduct_depth_vs_poset(P)
-            assert agree, (P.leq, d, chain)
             _, reduct = heyting_from_poset(P)
+            d, chain = depth(reduct), P.longest_chain()
+            assert d == chain, (P.leq, d, chain)
             assert verify_main_theorem(reduct, 6).all_agree
     _report("Heyting corollary (posets <= 6 elements, n<=6)")
 

@@ -3,8 +3,16 @@ import re
 
 import pytest
 
-from hilbertalg import find_isomorphism, validate
+from hilbertalg import (
+    all_posets,
+    enumerate_hilbert,
+    find_isomorphism,
+    heyting_from_poset,
+    meet_irreducibles,
+    validate,
+)
 from hilbertalg.cli import NMAX_LIMIT, main
+from hilbertalg.core import mask_str
 from hilbertalg.files import dump_algebra, load_algebra, parse_algebra_text
 from hilbertalg.errors import AlgebraFileError
 
@@ -157,6 +165,52 @@ class TestAnalyze:
         }
         spectrum = (tmp_path / "fork-spectrum.dot").read_text()
         assert re.findall(r"n\d+ -> n\d+;", spectrum) == []  # antichain
+
+    def test_shape_and_covers_on_small_algebras(self, tmp_path, capsys):
+        """analyze --spectrum --dot on every algebra with <= 5 elements and
+        on the 63 reducts of 5-point posets: the shape word against the
+        pairwise definition, and the printed Hasse line and the edges of
+        -spectrum.dot against the covers by definition."""
+        algebras = [A for n in range(1, 6) for A in enumerate_hilbert(n)]
+        algebras += [heyting_from_poset(P)[1] for P in all_posets(5, up_to_iso=True)]
+        path = tmp_path / "algebra.json"
+        prefix = str(tmp_path / "out")
+        seen = set()
+        for A in algebras:
+            path.write_text(dump_algebra(A))
+            assert main(["analyze", str(path), "--spectrum", "--dot", prefix]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            spec = meet_irreducibles(A).filters
+            comparable = [F & G in (F, G) for i, F in enumerate(spec) for G in spec[i + 1 :]]
+            if not spec:
+                shape = None
+            elif all(comparable):
+                shape = "chain"
+            elif not any(comparable):
+                shape = "antichain"
+            else:
+                shape = "poset"
+            head = re.fullmatch(r"\d+ filters?, spectrum (\d+)(?: \((\w+)\))?, depth \d+", lines[0])
+            assert (int(head[1]), head[2]) == (len(spec), shape), lines[0]
+            seen.add((len(spec), shape))
+
+            label = lambda F: mask_str(F, A.names)
+            covers = [
+                f"{label(F)} < {label(G)}"
+                for F in spec
+                for G in spec
+                if F != G
+                and F & G == F
+                and not any(H not in (F, G) and F & H == F and H & G == H for H in spec)
+            ]
+            assert lines[1] == "spectrum Hasse: " + (", ".join(covers) or "(no covers)")
+            text = (tmp_path / "out-spectrum.dot").read_text()
+            labels = dict(re.findall(r'(n\d+) \[label="([^"]*)"\]', text))
+            edges = re.findall(r"(n\d+) -> (n\d+);", text)
+            assert [f"{labels[a]} < {labels[b]}" for a, b in edges] == covers
+        shapes = {shape for m, shape in seen}
+        assert (0, None) in seen and (1, "chain") in seen
+        assert shapes == {None, "chain", "antichain", "poset"}
 
 
 class TestVerify:

@@ -7,6 +7,7 @@ import pickle
 import pkgutil
 import random
 import re
+import runpy
 import subprocess
 import sys
 import types
@@ -629,3 +630,16 @@ def test_reimport_frees_previous_modules():
         timeout=120,
     )
     assert int(out.stdout) <= 2
+
+
+def test_benchmark_traced_names_resolve():
+    """Every function the benchmark's traced run wraps (perfbench/spans.py
+    TRACED) is still on its module, so a trim of the library that would
+    break `perfbench/run.py --trace 1` fails here.  spans.py is run from
+    its path, without importing it as a module or writing bytecode."""
+    root = Path(__file__).resolve().parents[1]
+    traced = runpy.run_path(str(root / "perfbench" / "spans.py"))["TRACED"]
+    for module, names in traced.items():
+        mod = importlib.import_module(f"hilbertalg.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"hilbertalg.{module}.{name}"

@@ -13,7 +13,6 @@ from hilbertalg import (
     enumerate_hilbert,
     find_isomorphism,
     heyting_from_poset,
-    reduct_depth_vs_poset,
     validate,
 )
 from hilbertalg import cli, enumeration
@@ -31,7 +30,6 @@ from hilbertalg.enumeration import (
     _least_code,
     _table_relabellers,
     enum_cap,
-    upsets,
 )
 from hilbertalg.errors import RangeError, SizeLimitError
 from oracles import (
@@ -41,6 +39,7 @@ from oracles import (
     closed_masks_by_filter,
     closed_subsets,
     closure_hilbert_classes,
+    heyting_by_cells,
     least_code_by_scan,
     posets_by_relabelling,
     scanned_class_codes,
@@ -535,9 +534,19 @@ class TestHeytingFromPoset:
                             heyting.carrier[a] & ~arrow == 0
                         )
 
+    def test_same_as_cell_scan(self):
+        """Carrier and table against the per-cell formula, on every class
+        of posets with up to 6 points."""
+        for k in range(7):
+            for P in all_posets(k, up_to_iso=True):
+                heyting, reduct = heyting_from_poset(P)
+                carrier, arrow = heyting_by_cells(P)
+                assert (heyting.carrier, heyting.arrow) == (carrier, arrow), P.leq
+                assert reduct.arrow == arrow
+
     def test_upsets_are_upward_closed(self):
         for P in all_posets(3):
-            for U in upsets(P):
+            for U in heyting_from_poset(P)[0].carrier:
                 for x in iter_bits(U):
                     assert P.upset_mask(x) & ~U == 0
 
@@ -555,18 +564,19 @@ class TestHeytingFromPoset:
 
 
 class TestReductDepth:
+    """The depth of the upset-algebra reduct against the poset's longest
+    chain."""
+
     def test_examples(self):
-        assert reduct_depth_vs_poset(Poset(2, ((True, True), (False, True)))) == (
-            2,
-            2,
-            True,
-        )
-        assert reduct_depth_vs_poset(Poset(1, ((True,),))) == (1, 1, True)
-        assert reduct_depth_vs_poset(
-            Poset(2, ((True, False), (False, True)))
-        ) == (1, 1, True)
+        for leq, expected in (
+            (((True, True), (False, True)), 2),
+            (((True,),), 1),
+            (((True, False), (False, True)), 1),
+        ):
+            P = Poset(len(leq), leq)
+            assert depth(heyting_from_poset(P)[1]) == P.longest_chain() == expected
 
     def test_all_small_posets_agree(self):
         for k in range(4):
             for P in all_posets(k, up_to_iso=True):
-                assert reduct_depth_vs_poset(P)[2]
+                assert depth(heyting_from_poset(P)[1]) == P.longest_chain()

@@ -27,7 +27,9 @@ from oracles import (
     fg_with_extra,
     fg_with_extra_member,
     is_meet_prime,
+    is_mp_closed,
     join,
+    mp_closure,
     one_upper_cover_spectrum,
     relabelled,
 )
@@ -87,6 +89,18 @@ class TestFgClosure:
     def test_fork_two_generators(self, fork):
         assert fg_closure(fork, subset_of([0, 1])) == subset_of([0, 1, 2])
 
+    def test_same_as_the_definition(self, oracle_set):
+        """fg_closure and is_implicative_filter, which fold the deduction
+        theorem's row over the generators, on every subset: the filters
+        are the subsets that is_mp_closed accepts, and the closure of X
+        is the least of them containing X."""
+        for A in oracle_set:
+            filters = by_size(S for S in range(1 << A.size) if is_mp_closed(A, S))
+            for X in range(1 << A.size):
+                least = next(F for F in filters if F & X == X)
+                assert fg_closure(A, X) == least, (A.arrow, X)
+                assert is_implicative_filter(A, X) == (least == X), (A.arrow, X)
+
     def test_closure_laws(self, fork, chain3):
         for A in (fork, chain3):
             U = A.universe_mask()
@@ -141,7 +155,7 @@ class TestDeductionTheorem:
         for A in oracle_set:
             for F in all_filters(A).filters:
                 for a in range(A.size):
-                    assert _fg_with(A, F, a) == fg_closure(A, F | bit(a))
+                    assert _fg_with(A, F, a) == mp_closure(A, F | bit(a))
 
 
 class TestAllFilters:
@@ -161,7 +175,7 @@ class TestAllFilters:
 
     def test_bfs_agrees_with_subset_scan(self, oracle_set):
         for A in oracle_set:
-            scan = (S for S in range(1 << A.size) if is_implicative_filter(A, S))
+            scan = (S for S in range(1 << A.size) if is_mp_closed(A, S))
             assert all_filters(A).filters == by_size(scan), A.arrow
 
     def test_every_filter_is_an_upset(self, fork, chain3):
