@@ -17,7 +17,13 @@ from .errors import (
     RangeError,
 )
 from .files import dump_algebra, load_algebra
-from .filters import all_filters, is_implicative_filter, meet_irreducibles
+from .filters import (
+    _count_filters,
+    _fg_with,
+    all_filters,
+    is_implicative_filter,
+    meet_irreducibles,
+)
 from .quotient import quotient
 
 EXIT_OK = 0
@@ -43,41 +49,38 @@ def cmd_check(args) -> int:
 
 def cmd_analyze(args) -> int:
     A = load_algebra(args.path)
-    lattice = all_filters(A)
     spectrum = meet_irreducibles(A)
     d = spectrum.max_chain_size()
-    k = len(lattice.filters)
+    k = _count_filters(A)
     m = len(spectrum.filters)
     plural = "" if k == 1 else "s"
-    if m == 0:
-        print(f"{k} filter{plural}, spectrum 0, depth {d}")
-    else:
-        # d is the longest chain: all m points form one iff d == m, and
-        # no two are comparable iff d == 1 (m == 1 is a chain).
-        shape = "chain" if d == m else "antichain" if d == 1 else "poset"
-        print(f"{k} filter{plural}, spectrum {m} ({shape}), depth {d}")
+    # d is the longest chain: all m >= 1 points form one iff d == m, and
+    # no two are comparable iff d == 1 (m == 1 is a chain).
+    shape = f" ({'chain' if d == m else 'antichain' if d == 1 else 'poset'})" if m else ""
+    print(f"{k} filter{plural}, spectrum {m}{shape}, depth {d}")
     label = lambda F: mask_str(F, A.names)
+    lattice = all_filters(A).filters if args.filters or args.dot else ()
     if args.filters:
-        for F in lattice.filters:
+        for F in lattice:
             print(f"  filter {label(F)}")
-    covers = hasse_covers(spectrum.filters, spectrum.leq)
+    points = spectrum.filters
+    covers = hasse_covers(points, lambda F: (G for G in points if G != F and F & G == F))
     if args.spectrum or m:
-        rel = ", ".join(
-            f"{label(spectrum.filters[i])} < {label(spectrum.filters[j])}"
-            for i, j in covers
-        )
-        print(f"spectrum Hasse: {rel if rel else '(no covers)'}")
+        rel = ", ".join(f"{label(points[i])} < {label(points[j])}" for i, j in covers)
+        print(f"spectrum Hasse: {rel or '(no covers)'}")
         if args.spectrum:
-            for F in spectrum.filters:
+            for F in points:
                 print(f"  meet-irreducible {label(F)}")
     if args.depth:
         print(f"depth: {d}")
     if args.dot:
-        lattice_covers = hasse_covers(lattice.filters, spectrum.leq)  # inclusion
+        # each cover of F is a one-element extension Fg(F | {a})
+        extensions = lambda F: (_fg_with(A, F, a) for a in range(A.size) if not F >> a & 1)
+        lattice_covers = hasse_covers(lattice, extensions)
         with open(args.dot + "-filters.dot", "w", encoding="utf-8") as fh:
-            fh.write(poset_dot([label(F) for F in lattice.filters], lattice_covers, "filters"))
+            fh.write(poset_dot([label(F) for F in lattice], lattice_covers, "filters"))
         with open(args.dot + "-spectrum.dot", "w", encoding="utf-8") as fh:
-            fh.write(poset_dot([label(F) for F in spectrum.filters], covers, "spectrum"))
+            fh.write(poset_dot([label(F) for F in points], covers, "spectrum"))
     return EXIT_OK
 
 

@@ -20,7 +20,7 @@ from .errors import (
     UnboundVariableError,
 )
 
-MAX_UNIVERSE = 64  # one machine word per subset mask
+MAX_UNIVERSE = 64  # a chosen cap, not a word size: masks are Python ints
 
 # bytes.translate maps are 256 bytes long: a row of n entries (each below
 # MAX_UNIVERSE <= 256) becomes one by appending _BYTE_VALUES[n:].
@@ -303,25 +303,17 @@ class FiniteHilbertAlgebra(_Frozen):
         )
 
     @cached_property
-    def _filter_lattice(self):
-        """Fi(A), built on first use and kept with this instance; it is
-        not a field, so ==, hash and repr do not see it."""
-        from .filters import _build_lattice  # filters imports this module
-
-        return _build_lattice(self)
-
-    @cached_property
     def _spectrum(self):
-        """Spec(A), built on first use and kept like _filter_lattice; it
-        is read off the table and never builds the lattice."""
-        from .filters import _build_spectrum
+        """Spec(A), built on first use and kept with this instance; it is
+        not a field, so ==, hash and repr do not see it."""
+        from .filters import _build_spectrum  # filters imports this module
 
         return _build_spectrum(self)
 
     @cached_property
     def _d_ladder(self):
         """The g table and T_0 > T_1 > ... of the d_n test, built whole on
-        first use and kept like _filter_lattice."""
+        first use and kept like _spectrum."""
         from .depth_terms import _build_ladder
 
         return _build_ladder(self)

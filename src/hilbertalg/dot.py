@@ -2,30 +2,19 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 
-def hasse_covers(
-    items: Sequence, leq: Callable[[object, object], bool]
-) -> List[Tuple[int, int]]:
-    """Covering pairs (i, j): item i below item j with nothing in between."""
-    n = len(items)
+def hasse_covers(items: Sequence[int], above: Callable[[int], Iterable[int]]) -> List[Tuple[int, int]]:
+    """Covering pairs (i, j), in order: mask items[j] covers items[i].
+    above(F) holds every cover of F and only strict supersets of F, so
+    the covers are its minimal members."""
+    index = {F: i for i, F in enumerate(items)}
     covers = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not leq(items[i], items[j]) or leq(items[j], items[i]):
-                continue
-            between = any(
-                k != i
-                and k != j
-                and leq(items[i], items[k])
-                and leq(items[k], items[j])
-                and not leq(items[k], items[i])
-                and not leq(items[j], items[k])
-                for k in range(n)
-            )
-            if not between:
-                covers.append((i, j))
+    for i, F in enumerate(items):
+        larger = set(above(F))
+        minimal = (G for G in larger if not any(H != G and H & G == H for H in larger))
+        covers += sorted((i, index[G]) for G in minimal)
     return covers
 
 

@@ -8,8 +8,11 @@ so every derived structure is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .core import FiniteHilbertAlgebra, _Frozen, bit, iter_bits, subset_of
+from .enumeration import _closed_masks
 from .errors import PreconditionError
 
 
@@ -59,31 +62,44 @@ class FilterLattice(_Frozen):
 
 
 def all_filters(A: FiniteHilbertAlgebra) -> FilterLattice:
-    """Every implicative filter of A.
-
-    Built once per algebra by _build_lattice and kept on the instance.
-    It can have 2^(|A|-1) members, so only callers that need the whole
-    lattice use it; the spectrum has its own, polynomial, construction.
-    """
-    return A._filter_lattice
+    """Every implicative filter of A: up to 2^(|A|-1) of them, so only
+    callers that list the lattice build it, once each."""
+    return _build_lattice(A)
 
 
 def _build_lattice(A: FiniteHilbertAlgebra) -> FilterLattice:
-    """Fi(A) in one BFS over one-element extensions (_fg_with); every
-    filter other than {1} is reached from a smaller one this way."""
-    bottom = bit(A.top)
-    found = {bottom}
-    frontier = [bottom]
-    while frontier:
-        F = frontier.pop()
-        for a in range(A.size):
-            if F >> a & 1:
-                continue
-            G = _fg_with(A, F, a)
-            if G not in found:
-                found.add(G)
-                frontier.append(G)
-    return FilterLattice(algebra=A, filters=_by_size(found))
+    """Fi(A) as the meets of the up-sets U of Spec(A), with the empty
+    meet A.  Fi(A) is distributive (Diego), so each meet-irreducible is
+    meet-prime and U |-> meet(U) is a bijection onto Fi(A), with inverse
+    F |-> {P : F <= P} (README, "Filters and the spectrum")."""
+    spectrum = A._spectrum
+    meets = (
+        reduce(and_, map(spectrum.__getitem__, iter_bits(U)), A.universe_mask())
+        for U in _closed_masks(_above(spectrum))
+    )
+    return FilterLattice(algebra=A, filters=_by_size(meets))
+
+
+def _count_filters(A: FiniteHilbertAlgebra) -> int:
+    """|Fi(A)|, the number of up-sets of Spec(A), without listing them:
+    count(P) = count(P - down(x)) + count(P - up(x)) (the up-sets without
+    x, then with x), memoised on the points left.  x is the first point
+    left, minimal among them as Spec(A) is sorted by size: down(x) = {x}."""
+    up = _above(A._spectrum)
+    memo = {0: 1}
+
+    def count(rest: int) -> int:
+        if rest not in memo:
+            x = (rest & -rest).bit_length() - 1
+            memo[rest] = count(rest & (rest - 1)) + count(rest & ~up[x])
+        return memo[rest]
+
+    return count((1 << len(up)) - 1)
+
+
+def _above(points: tuple) -> list:
+    """For each filter in points, the indices of those containing it."""
+    return [subset_of(j for j, Q in enumerate(points) if P & Q == P) for P in points]
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +139,6 @@ class SpectrumPoset(_Frozen):
 
     def __contains__(self, F: int) -> bool:
         return F in self.filters
-
-    @staticmethod
-    def leq(F: int, G: int) -> bool:
-        return F & G == F
 
     def max_chain_size(self) -> int:
         """Longest chain, counted in elements."""

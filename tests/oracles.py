@@ -8,7 +8,6 @@ from operator import and_
 
 from hilbertalg import (
     FiniteHilbertAlgebra,
-    all_filters,
     all_posets,
     correspondence_check,
     eval_term,
@@ -38,7 +37,7 @@ from hilbertalg.enumeration import (
     _table_relabellers,
 )
 from hilbertalg.errors import InternalInvariantError, NotAFilterError, RangeError
-from hilbertalg.filters import is_implicative_filter
+from hilbertalg.filters import FilterLattice, _by_size, _fg_with, is_implicative_filter
 from hilbertalg.quotient import Congruence
 
 
@@ -188,6 +187,25 @@ def fg_with_extra(A: FiniteHilbertAlgebra, X: int, c: int) -> int:
 # the lattice and its spectrum
 
 
+def lattice_by_extension(A: FiniteHilbertAlgebra) -> FilterLattice:
+    """all_filters without the spectrum: Fi(A) in one BFS over one-element
+    extensions (_fg_with); every filter other than {1} is reached from a
+    smaller one this way."""
+    bottom = bit(A.top)
+    found = {bottom}
+    frontier = [bottom]
+    while frontier:
+        F = frontier.pop()
+        for a in range(A.size):
+            if F >> a & 1:
+                continue
+            G = _fg_with(A, F, a)
+            if G not in found:
+                found.add(G)
+                frontier.append(G)
+    return FilterLattice(algebra=A, filters=_by_size(found))
+
+
 def join(A: FiniteHilbertAlgebra, F: int, G: int) -> int:
     """The join of two filters in Fi(A)."""
     return fg_closure(A, F | G)
@@ -215,7 +233,7 @@ def one_upper_cover_spectrum(A: FiniteHilbertAlgebra) -> tuple:
     minimal member iff it contains its meet).
     """
     out = []
-    for F in all_filters(A).filters:
+    for F in lattice_by_extension(A).filters:
         extensions = {
             subset_of(b for b in range(A.size) if F >> A.arrow[a][b] & 1)
             for a in range(A.size)
@@ -224,6 +242,29 @@ def one_upper_cover_spectrum(A: FiniteHilbertAlgebra) -> tuple:
         if extensions and reduce(and_, extensions) in extensions:
             out.append(F)
     return tuple(out)
+
+
+def covers_by_scan(items, leq) -> list:
+    """dot.hasse_covers by the definition: every pair (i, j) with item i
+    strictly below item j, tested against every third item."""
+    n = len(items)
+    covers = []
+    for i in range(n):
+        for j in range(n):
+            if i == j or not leq(items[i], items[j]) or leq(items[j], items[i]):
+                continue
+            between = any(
+                k != i
+                and k != j
+                and leq(items[i], items[k])
+                and leq(items[k], items[j])
+                and not leq(items[k], items[i])
+                and not leq(items[j], items[k])
+                for k in range(n)
+            )
+            if not between:
+                covers.append((i, j))
+    return covers
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from oracles import (
     fg_with_extra_member,
     is_meet_prime,
     join,
+    lattice_by_extension,
 )
 
 MAX_SIZE = 5
@@ -84,10 +85,12 @@ def test_filter_generation_oracles(algebras):
 
 
 def test_lattice_laws(algebras):
-    """Fi(A) is distributive; meet-irreducible = meet-prime extensionally."""
+    """Fi(A) is distributive; meet-irreducible = meet-prime extensionally.
+    The lattice comes from the extension search, since all_filters reads
+    it off the spectrum."""
     for size in range(1, 5):
         for A in algebras[size]:
-            L = all_filters(A)
+            L = lattice_by_extension(A)
             for G in L.filters:
                 for H in L.filters:
                     for K in L.filters:

@@ -11,10 +11,12 @@ from hilbertalg import (
     meet_irreducibles,
     validate,
 )
+from hilbertalg import filters
 from hilbertalg.cli import NMAX_LIMIT, main
 from hilbertalg.core import mask_str
 from hilbertalg.files import dump_algebra, load_algebra, parse_algebra_text
 from hilbertalg.errors import AlgebraFileError
+from oracles import covers_by_scan, fan, lattice_by_extension
 
 CHAIN3 = {"size": 3, "arrow": [[2, 2, 2], [0, 2, 2], [0, 1, 2]], "names": ["0", "a", "1"]}
 FORK = {"size": 3, "arrow": [[2, 1, 2], [0, 2, 2], [0, 1, 2]], "names": ["x", "y", "1"]}
@@ -169,8 +171,10 @@ class TestAnalyze:
     def test_shape_and_covers_on_small_algebras(self, tmp_path, capsys):
         """analyze --spectrum --dot on every algebra with <= 5 elements and
         on the 63 reducts of 5-point posets: the shape word against the
-        pairwise definition, and the printed Hasse line and the edges of
-        -spectrum.dot against the covers by definition."""
+        pairwise definition, the printed Hasse line and the edges of
+        -spectrum.dot against the covers by definition, and the nodes and
+        edges of -filters.dot, in file order, against the lattice from the
+        extension search and its covers by a scan of all triples."""
         algebras = [A for n in range(1, 6) for A in enumerate_hilbert(n)]
         algebras += [heyting_from_poset(P)[1] for P in all_posets(5, up_to_iso=True)]
         path = tmp_path / "algebra.json"
@@ -208,9 +212,45 @@ class TestAnalyze:
             labels = dict(re.findall(r'(n\d+) \[label="([^"]*)"\]', text))
             edges = re.findall(r"(n\d+) -> (n\d+);", text)
             assert [f"{labels[a]} < {labels[b]}" for a, b in edges] == covers
+
+            lattice = lattice_by_extension(A).filters
+            text = (tmp_path / "out-filters.dot").read_text()
+            labels = dict(re.findall(r'(n\d+) \[label="([^"]*)"\]', text))
+            edges = re.findall(r"(n\d+) -> (n\d+);", text)
+            assert list(labels.values()) == [label(F) for F in lattice]
+            scanned = covers_by_scan(lattice, lambda F, G: F & G == F)
+            assert [(int(a[1:]), int(b[1:])) for a, b in edges] == scanned
         shapes = {shape for m, shape in seen}
         assert (0, None) in seen and (1, "chain") in seen
         assert shapes == {None, "chain", "antichain", "poset"}
+
+    def test_dot_on_a_wide_lattice(self, tmp_path, capsys):
+        """fan(12) has 2^12 filters, each covered by adding one of the 12
+        coatoms it lacks: 12 * 2^11 edges."""
+        path = tmp_path / "fan12.json"
+        path.write_text(dump_algebra(fan(12)))
+        prefix = str(tmp_path / "fan12")
+        assert main(["analyze", str(path), "--dot", prefix]) == 0
+        assert capsys.readouterr().out.startswith("4096 filters, spectrum 12 (antichain)")
+        text = (tmp_path / "fan12-filters.dot").read_text()
+        assert len(re.findall(r"n\d+ \[label=", text)) == 4096
+        assert len(re.findall(r"n\d+ -> n\d+;", text)) == 12 * 2**11 == 24576
+
+    def test_count_without_the_lattice(self, tmp_path, capsys, monkeypatch):
+        """Without --filters or --dot the filters are counted, not listed:
+        Fi(fan(63)) would have 2^63 members."""
+
+        def refuse(A):
+            raise AssertionError("Fi(A) was built")
+
+        monkeypatch.setattr(filters, "_build_lattice", refuse)
+        path = tmp_path / "fan63.json"
+        path.write_text(dump_algebra(fan(63)))
+        assert main(["analyze", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "9223372036854775808 filters, spectrum 63 (antichain), depth 1",
+            "spectrum Hasse: (no covers)",
+        ]
 
 
 class TestVerify:

@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import enum
@@ -571,13 +572,13 @@ class TestValueTypes:
 
     def test_memos_appear_only_after_first_use(self):
         A = FiniteHilbertAlgebra.from_table(chain_algebra(3).arrow)
-        memos = {"_filter_lattice", "_spectrum", "_d_ladder"}
+        memos = {"_spectrum", "_d_ladder"}
         assert set(vars(A)) == {"size", "arrow", "top", "names"}
         before = (repr(A), hash(A))
         meet_irreducibles(A)
         assert memos & set(vars(A)) == {"_spectrum"}
-        all_filters(A)
-        assert memos & set(vars(A)) == {"_spectrum", "_filter_lattice"}
+        all_filters(A)  # read off the spectrum, and not kept
+        assert set(vars(A)) == {"size", "arrow", "top", "names", "_spectrum"}
         depth_leq_via_identity(A, 1)
         assert memos <= set(vars(A))
         assert (repr(A), hash(A)) == before and A == chain_algebra(3)
@@ -643,3 +644,24 @@ def test_benchmark_traced_names_resolve():
         mod = importlib.import_module(f"hilbertalg.{module}")
         for name in names:
             assert callable(getattr(mod, name, None)), f"hilbertalg.{module}.{name}"
+
+
+def test_only_stdlib_imports():
+    """The package has no runtime dependencies: every absolute import in
+    src/hilbertalg names a module of the standard library."""
+    package = Path(hilbertalg.__file__).resolve().parent
+    outside = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                (path.name, name)
+                for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []

@@ -20,8 +20,9 @@ from hilbertalg import (
 )
 from hilbertalg.core import bit, iter_bits
 from hilbertalg.errors import PreconditionError, SizeLimitError
-from hilbertalg.filters import _class_leaders, _fg_with, _separate
+from hilbertalg.filters import _class_leaders, _count_filters, _fg_with, _separate
 from oracles import (
+    capped_fan,
     fan,
     fg_formula_member,
     fg_with_extra,
@@ -29,6 +30,7 @@ from oracles import (
     is_meet_prime,
     is_mp_closed,
     join,
+    lattice_by_extension,
     mp_closure,
     one_upper_cover_spectrum,
     relabelled,
@@ -42,6 +44,17 @@ def oracle_set():
     for k in range(5):
         algebras += [heyting_from_poset(P)[1] for P in all_posets(k, up_to_iso=True)]
     return algebras
+
+
+@pytest.fixture(scope="module")
+def listing_set(oracle_set):
+    """466 algebras: those of oracle_set, the reducts of posets with 5 and
+    6 points, six chains up to 64 elements, fan(1..12) and
+    capped_fan(1..11)."""
+    reducts = [heyting_from_poset(P)[1] for k in (5, 6) for P in all_posets(k, True)]
+    chains = [chain_algebra(m) for m in (2, 4, 8, 16, 32, 63)]
+    fans = [fan(m) for m in range(1, 13)] + [capped_fan(m) for m in range(1, 12)]
+    return oracle_set + reducts + chains + fans
 
 
 def by_size(masks):
@@ -186,15 +199,31 @@ class TestAllFilters:
                         assert A.upset_mask(a) & ~F == 0
 
     def test_size_cap(self):
-        # all_filters has no cap of its own: one-word masks bound the algebra
+        # all_filters has no cap of its own: MAX_UNIVERSE bounds the algebra
         with pytest.raises(SizeLimitError):
             FiniteHilbertAlgebra.from_table([[0] * 65 for _ in range(65)])
 
+    def test_same_as_the_extension_search(self, listing_set):
+        """The meets of the spectrum's up-sets are the filters that the
+        search over one-element extensions reaches, in the same order,
+        and _count_filters counts them without listing them."""
+        assert len(listing_set) == 466
+        for A in listing_set:
+            expected = lattice_by_extension(A).filters
+            assert all_filters(A).filters == expected, A.arrow
+            assert _count_filters(A) == len(expected), A.arrow
+
+    def test_count_past_the_listing(self):
+        # Fi(fan(63)) has 2^63 members and Fi(capped_fan(62)) 2^62 + 1
+        assert _count_filters(fan(63)) == 2**63
+        assert _count_filters(capped_fan(62)) == 2**62 + 1
+
     def test_built_once_per_algebra(self, fork):
+        """The spectrum is kept on the algebra; neither it nor the lattice,
+        which is built anew on each call, changes ==, hash or repr."""
         twin = FiniteHilbertAlgebra.from_table([list(row) for row in fork.arrow])
         before = (hash(fork), repr(fork))
-        L = all_filters(fork)
-        assert all_filters(fork) is L
+        assert all_filters(fork) == all_filters(twin)
         spectrum = meet_irreducibles(fork).filters
         assert meet_irreducibles(fork).filters is spectrum
         assert fork == twin and (hash(fork), repr(fork)) == before
@@ -216,7 +245,7 @@ class TestSpectrum:
     def test_agrees_with_pairwise_meets(self, oracle_set):
         fans = [fan(m) for m in range(1, 7)]
         for A in oracle_set + [chain_algebra(16)] + fans:
-            L = all_filters(A)
+            L = lattice_by_extension(A)
             assert meet_irreducibles(A).filters == pairwise_meet_spectrum(L), A.arrow
 
     def test_agrees_with_one_upper_cover(self, oracle_set):
@@ -226,23 +255,25 @@ class TestSpectrum:
             assert meet_irreducibles(A).filters == one_upper_cover_spectrum(A), A.arrow
 
     def test_meet_prime_examples(self, fork, a2):
-        L = all_filters(fork)
+        L = lattice_by_extension(fork)
         assert is_meet_prime(L, subset_of([0, 2]))
         assert not is_meet_prime(L, subset_of([2]))
-        assert not is_meet_prime(all_filters(a2), subset_of([0, 1]))
+        assert not is_meet_prime(lattice_by_extension(a2), subset_of([0, 1]))
 
     def test_irreducible_equals_prime(self):
         for n in range(1, 5):
             for A in enumerate_hilbert(n):
-                L = all_filters(A)
+                L = lattice_by_extension(A)
                 spec = set(meet_irreducibles(A).filters)
                 primes = {F for F in L.filters if is_meet_prime(L, F)}
                 assert spec == primes
 
     def test_distributivity(self):
+        """The fact that all_filters rests on, checked on the lattice found
+        without the spectrum."""
         for n in range(1, 5):
             for A in enumerate_hilbert(n):
-                L = all_filters(A)
+                L = lattice_by_extension(A)
                 for G in L.filters:
                     for H in L.filters:
                         for K in L.filters:
