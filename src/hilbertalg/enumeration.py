@@ -1,32 +1,36 @@
 """Isomorph-free exhaustive generation of finite Hilbert algebras, plus
 finite Heyting algebras built as upset algebras of posets.
 
-Every class of n >= 2 elements is a class of n - 1 elements plus one
-new minimal element.  K gives y <= x -> y.  So if z is minimal and
-x, y != z, then x -> y = z would give y <= z, so y = z: A - {z} is a
-subalgebra.  enumerate_hilbert(n) therefore grows the classes of size n
-from the class representatives of size n - 1, as _class_codes grows
-posets by a new maximal point.  Each representative gets a new element
-z, and a backtracking search (_grow) fills z's row and column, the only
-new cells.  Both generators follow the orderly rule (McKay,
-"Isomorph-free exhaustive generation", J. Algorithms 26, 1998): a
-candidate is dropped as soon as its new element cannot be the one
-chosen for deletion, a minimal element with a largest up-set (a
-maximal point with a largest down-set for posets).  Each table left is
-keyed by its canonical form (the lexicographically least table over
-the permutations fixing the top at n-1), computed once per distinct
-table, and the classes come out in ascending canonical-table order.
-Each poset left is keyed by its least code (_least_code).
+A finite Hilbert algebra A embeds in the upset algebra Up(Spec A) by
+a |-> {M in Spec A : a in M} (Diego 1966).  By the column test in
+filters._build_spectrum each point M is A - down(a_M) for some
+a_M != 1, so Spec A has fewer than n = |A| points, and a_M goes to the
+co-principal up-set Spec A - down(M): a_M is in M' iff a_M is not
+below a_M', iff M' is not inside M.  So every n-element class is an
+n-element ->-closed set of up-sets of a poset P with k < n points that
+holds all of P's co-principal up-sets, where U -> V = P - down(U - V).
+enumerate_hilbert(n) takes each class of such posets from _class_codes,
+closes P and its co-principal up-sets under ->, and grows the
+n-element closed sets above that closure one up-set at a time
+(_closed_sets).  Each set's table, its members numbered in ascending
+order so that P is the top at n-1, is keyed by its canonical form (the
+lexicographically least table over the permutations fixing the top),
+computed once per distinct table, and the classes come out in ascending
+canonical-table order.
+
+Posets are grown by a new maximal point and follow the orderly rule
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998):
+a candidate is dropped as soon as its new point cannot be the one
+chosen for deletion, a maximal point with a largest down-set.  Each
+poset left is keyed by its least code (_least_code).
 
 The least poset codes of each number of points are cached, with the
 down-set masks of the posets they code, so each level is built once
-per process; only all_posets reads them.  The canonical tables are not
-cached.  enumerate_hilbert and the CLI's verify --enumerate
-(_enumerate_levels) both walk the sizes 1..n, and a shared cache would
-make the cost of either depend on whether the other ran first.  Each
-call builds each size up to n once.  enumerate_hilbert,
-_enumerate_levels and all_posets build new, validated objects on every
-call.
+per process; all_posets and enumerate_hilbert read them.  The canonical
+tables are not cached: each call of enumerate_hilbert builds its size
+on its own, so its cost does not depend on what ran before it, beyond
+the poset codes.  enumerate_hilbert and all_posets build new, validated
+objects on every call.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, compress, permutations
 from operator import itemgetter
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .core import FiniteHilbertAlgebra, _Frozen, bit, iter_bits, subset_of
 from .errors import RangeError, SizeLimitError
@@ -44,7 +48,7 @@ from .errors import RangeError, SizeLimitError
 DEFAULT_ENUM_CAP = 5
 ENUM_CAP_ENV = "HILBERT_SIZE_CAP"
 # The largest size enumerate_hilbert is measured to finish: size 7 takes
-# about 0.7 s and size 8 about 49 s, 5,850 tables keyed over 7!
+# about 0.7 s and size 8 about 40 s, 4,933 tables keyed over 7!
 # relabellings each (Python 3.11, one core).  Size 9 would key each table
 # over 8! relabellings.
 _MAX_ENUM_CAP = 8
@@ -200,6 +204,17 @@ def _up_masks(down) -> list:
             up[low.bit_length() - 1] |= 1 << y
             d ^= low
     return up
+
+
+def _down_sets(down) -> list:
+    """below[X], the down-set of each set X of points (a mask indexing
+    the list), from the principal down-set masks `down`: below[X] is
+    below[X - {x}] | down[x] for the least point x of X, 2^k steps."""
+    below = [0] * (1 << len(down))
+    for X in range(1, len(below)):
+        low = X & -X
+        below[X] = below[X ^ low] | down[low.bit_length() - 1]
+    return below
 
 
 def _least_code(down) -> tuple:
@@ -380,29 +395,20 @@ def heyting_from_poset(P: Poset) -> Tuple[HeytingAlgebra, FiniteHilbertAlgebra]:
     """The upset algebra of P and its implication reduct.
 
     U -> V is the set of x with upset(x) & U <= V, that is, the points
-    not below any point of U - V: P minus the down-set of U - V.  Each
-    cell ORs the principal down-sets of U - V, computed once.
+    not below any point of U - V: P minus the down-set of U - V, read
+    from _down_sets.
     """
     ups = [P.upset_mask(x) for x in range(P.size)]
-    downs = _up_masks(ups)
+    below = _down_sets(_up_masks(ups))
     carrier = _closed_masks(ups)
     index = {mask: i for i, mask in enumerate(carrier)}
-    k = len(carrier)
-    full = (1 << P.size) - 1
-    table = []
-    for U in carrier:
-        row = []
-        for V in carrier:
-            below = 0
-            for y in iter_bits(U & ~V):
-                below |= downs[y]
-            row.append(index[full & ~below])
-        table.append(row)
+    full = len(below) - 1
+    table = [[index[full ^ below[U & ~V]] for V in carrier] for U in carrier]
     heyting = HeytingAlgebra(
         poset=P,
         carrier=tuple(carrier),
         arrow=tuple(tuple(r) for r in table),
-        top=k - 1,
+        top=len(carrier) - 1,
         bottom=0,
     )
     return heyting, FiniteHilbertAlgebra.from_table(table)
@@ -434,135 +440,77 @@ def _canonical(flat: bytes, relabellers) -> tuple:
     return min(picker(flat.translate(values)) for picker, values in relabellers)
 
 
-def _grow(B: Sequence[int], m: int) -> Iterator[bytes]:
-    """The flat tables of the (m+1)-element Hilbert algebras A that have
-    a minimal element z with A - {z} equal to the m-element algebra B
-    (a flat table with top m-1).
+def _closed_sets(below: Sequence[int], n: int) -> List[int]:
+    """The n-element sets of up-sets of a poset P that hold P and every
+    co-principal up-set P - down(x) and are closed under
+    U -> V = P - below[U - V], where `below` is _down_sets of P's
+    principal down-sets.  Each set is a mask with bit U for each member
+    U; the list is ascending.
 
-    In A, B's elements keep their labels, B's top moves to n-1 = m and z
-    is n-2.  Only row z, f(x) = z -> x, and column z, c(x) = x -> z, are
-    new.  Every rule below holds in every such A, so no A is lost:
-      - f(x) is in B and x <= f(x) for x in B.  K gives x <= z -> x; if
-        z -> x were z, then x <= z, so x = z as z is minimal.
-      - f is an idempotent homomorphism of B.  S holds with equality
-        (Diego 1966), so z->(x->y) = (z->x)->(z->y), and
-        z->(z->x) = (z->z)->(z->x) = 1 -> f(x) = f(x).
-      - c(x) >= z, and c(x) != 1 for x != 1.  K gives z <= x -> z, and
-        x -> z = 1 would put x <= z, so x = z.
-    The rules are checked as cells are set, on the triples that read
-    them, and together they are the axioms for the triples that meet z
-    (the others lie in B, which is an algebra), so every table yielded
-    is a Hilbert algebra:
-      - unit: z -> z = 1 is set; antisymmetry with z is c(x) != 1;
-      - K: x->(z->x) = 1 is x <= f(x), and z->(x->z) = 1 is c(x) >= z;
-      - S at (z, x, y) is the homomorphism law, at (z, z, y)
-        idempotence, at (z, x, z) K again; S at (x, z, z) and every
-        instance with 1 in some position hold in any table with
-        a -> a = a -> 1 = 1 and 1 -> a = a;
-      - S at (x, z, y), x->f(y) = c(x)->(x->y), reads only f and c(x),
-        so it filters each cell's values once f is set;
-      - S at (x, y, z), x->c(y) = (x->y)->c(x), is checked for each
-        pair once both cells are set.
-    B's elements are filled from the top down, each after every element
-    above it.  As x->y >= y, the cells a pair reads are then set when
-    the pair is checked.
-
-    Once row z is set, the search stops unless z has a largest up-set
-    among the minimal elements of A, |up(z)| being the elements w of B
-    with f(w) = 1, plus z and 1.  This still meets every class: delete
-    from any n-element algebra a minimal element with a largest up-set,
-    and what remains is a subalgebra isomorphic to a representative B,
-    so growing B meets the algebra with z in that role.  The other
-    minimal elements of A are the minimal elements w of B that z is not
-    below (f(w) != 1), and each keeps its up-set in B, since w <= z
-    would be c(w) = 1.
+    The seed, P and its co-principal up-sets, is closed first.  Every
+    closed S above it is reached from that closure by adding a member of
+    S and closing, again and again, and none of the closures on the way
+    is larger than S.  So a closure is dropped once it has more than n
+    members, and each closed set is grown once.
     """
-    n = m + 1
-    z, top = m - 1, m
-    labels = list(range(z)) + [top]  # B's element b is labels[b] in A
-    t = [[top] * n for _ in range(n)]
-    for a, la in enumerate(labels):
-        row = t[la]
-        for b, lb in enumerate(labels):
-            row[lb] = labels[B[a * m + b]]
-    t[top][z] = z
-    f = t[z]  # z -> x, filled in place; z -> z = z -> 1 = 1 already
-    up = [[y for y in labels if t[x][y] == top] for x in range(z)]
-    order = sorted(range(z), key=lambda x: len(up[x]))
-    minimal = [
-        (w, len(up[w]))
-        for w in range(z)
-        if not any(y != w and t[y][w] == top for y in range(z))
-    ]
+    full = len(below) - 1
 
-    def columns(i, values, done):
-        if i == len(order):
-            yield bytes(v for row in t for v in row)
-            return
-        x = order[i]
-        tx = t[x]
-        done = done + [x]
-        for w in values[i]:
-            tx[z] = w
-            if all(
-                tx[t[y][z]] == t[tx[y]][w] and t[y][w] == t[t[y][x]][t[y][z]]
-                for y in done
-            ):
-                yield from columns(i + 1, values, done)
+    def close(S, members, done):
+        # members[:done] are closed; each later member is paired, both
+        # ways, with itself and the members before it
+        while done < len(members):
+            if len(members) > n:
+                return None
+            U = members[done]
+            done += 1
+            for V in members[:done]:
+                for W in (full ^ below[U & ~V], full ^ below[V & ~U]):
+                    if not S >> W & 1:
+                        S |= 1 << W
+                        members.append(W)
+        return S, members
 
-    def rows(i, done):
-        if i == len(order):
-            above = [z] + [w for w in order if f[w] == top]
-            if any(f[w] != top and size > len(above) + 1 for w, size in minimal):
-                return
-            values = [
-                [w for w in above if all(t[x][f[y]] == t[w][t[x][y]] for y in order)]
-                for x in order
-            ]
-            if all(values):
-                yield from columns(0, values, [])
-            return
-        x = order[i]
-        tx = t[x]
-        done = done + [x]
-        for w in up[x]:
-            if w != x and f[w] != w:
-                continue
-            f[x] = w
-            tw = t[w]
-            if all(f[tx[y]] == tw[f[y]] and f[t[y][x]] == t[f[y]][w] for y in done):
-                yield from rows(i + 1, done)
-
-    yield from rows(0, [])
+    seed = [full] + [full ^ below[1 << x] for x in range(full.bit_length())]
+    start = close(sum(1 << U for U in seed), seed, 0)
+    if start is None:
+        return []
+    ups = sorted({full ^ D for D in below})
+    seen = {start[0]}
+    frontier = [start]
+    while frontier:
+        S, members = frontier.pop()
+        if len(members) == n:
+            continue
+        for U in ups:
+            if not S >> U & 1:
+                grown = close(S | 1 << U, members + [U], len(members))
+                if grown is not None and grown[0] not in seen:
+                    seen.add(grown[0])
+                    frontier.append(grown)
+    return sorted(S for S in seen if S.bit_count() == n)
 
 
-def _table_levels(n: int) -> List[Tuple[tuple, ...]]:
-    """The canonical flat tables of the Hilbert algebras of each size
-    1..n, each level ascending and grown from the level below."""
-    levels = [((0,),)]
-    for size in range(2, n + 1):
-        relabellers = _table_relabellers(size)
-        found = set()
-        for B in levels[-1]:
-            for flat in _grow(B, size - 1):
-                found.add(_canonical(flat, relabellers))
-        levels.append(tuple(sorted(found)))
-    return levels
+def _seeded_tables(n: int) -> set:
+    """The distinct flat tables, as bytes, of the sets _closed_sets finds
+    over every class of posets with fewer than n points.  Members are
+    numbered in ascending order, so P is the top at n-1."""
+    tables = set()
+    for k in range(n):
+        for _, down in _class_codes(k):
+            below = _down_sets(down)
+            full = len(below) - 1
+            for S in _closed_sets(below, n):
+                members = list(iter_bits(S))
+                index = {U: i for i, U in enumerate(members)}
+                tables.add(bytes(index[full ^ below[U & ~V]] for U in members for V in members))
+    return tables
 
 
 def _class_tables(n: int) -> Tuple[tuple, ...]:
     """The canonical flat tables of the n-element Hilbert algebras,
-    ascending, each class grown from a class of n - 1 elements."""
-    return _table_levels(n)[-1]
-
-
-def _algebras(flats, n: int) -> List[FiniteHilbertAlgebra]:
-    return [
-        FiniteHilbertAlgebra.from_table(
-            [list(flat[a * n : (a + 1) * n]) for a in range(n)]
-        )
-        for flat in flats
-    ]
+    ascending, one _canonical per distinct seeded table."""
+    relabellers = _table_relabellers(n)
+    return tuple(sorted({_canonical(flat, relabellers) for flat in _seeded_tables(n)}))
 
 
 def enumerate_hilbert(
@@ -576,16 +524,9 @@ def enumerate_hilbert(
         cap = enum_cap()
     if n > cap:
         raise SizeLimitError(f"size {n} exceeds enumeration cap {cap}")
-    return _algebras(_class_tables(n), n)
-
-
-def _enumerate_levels(n: int) -> List[List[FiniteHilbertAlgebra]]:
-    """enumerate_hilbert(size) for each size 1..n, n >= 1, from one walk
-    up the sizes.  Above the cap it refuses the first size past it, as
-    calling enumerate_hilbert on each size in turn would."""
-    cap = enum_cap()
-    if n > cap:
-        raise SizeLimitError(f"size {cap + 1} exceeds enumeration cap {cap}")
     return [
-        _algebras(flats, size) for size, flats in enumerate(_table_levels(n), start=1)
+        FiniteHilbertAlgebra.from_table(
+            [list(flat[a * n : (a + 1) * n]) for a in range(n)]
+        )
+        for flat in _class_tables(n)
     ]

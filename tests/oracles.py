@@ -5,6 +5,7 @@ from functools import reduce
 import itertools
 from itertools import combinations, permutations
 from operator import and_
+from typing import Iterator, List, Sequence, Tuple
 
 from hilbertalg import (
     FiniteHilbertAlgebra,
@@ -714,3 +715,124 @@ def closure_hilbert_classes(n: int) -> list:
         FiniteHilbertAlgebra.from_table([list(flat[a * n : (a + 1) * n]) for a in range(n)])
         for flat in sorted(found)
     ]
+
+
+# ---------------------------------------------------------------------------
+# growth by one new minimal element: a second generator that shares only
+# _canonical (and its relabellers) with enumerate_hilbert
+
+
+def _grow(B: Sequence[int], m: int) -> Iterator[bytes]:
+    """The flat tables of the (m+1)-element Hilbert algebras A that have
+    a minimal element z with A - {z} equal to the m-element algebra B
+    (a flat table with top m-1).
+
+    In A, B's elements keep their labels, B's top moves to n-1 = m and z
+    is n-2.  Only row z, f(x) = z -> x, and column z, c(x) = x -> z, are
+    new.  Every rule below holds in every such A, so no A is lost:
+      - f(x) is in B and x <= f(x) for x in B.  K gives x <= z -> x; if
+        z -> x were z, then x <= z, so x = z as z is minimal.
+      - f is an idempotent homomorphism of B.  S holds with equality
+        (Diego 1966), so z->(x->y) = (z->x)->(z->y), and
+        z->(z->x) = (z->z)->(z->x) = 1 -> f(x) = f(x).
+      - c(x) >= z, and c(x) != 1 for x != 1.  K gives z <= x -> z, and
+        x -> z = 1 would put x <= z, so x = z.
+    The rules are checked as cells are set, on the triples that read
+    them, and together they are the axioms for the triples that meet z
+    (the others lie in B, which is an algebra), so every table yielded
+    is a Hilbert algebra:
+      - unit: z -> z = 1 is set; antisymmetry with z is c(x) != 1;
+      - K: x->(z->x) = 1 is x <= f(x), and z->(x->z) = 1 is c(x) >= z;
+      - S at (z, x, y) is the homomorphism law, at (z, z, y)
+        idempotence, at (z, x, z) K again; S at (x, z, z) and every
+        instance with 1 in some position hold in any table with
+        a -> a = a -> 1 = 1 and 1 -> a = a;
+      - S at (x, z, y), x->f(y) = c(x)->(x->y), reads only f and c(x),
+        so it filters each cell's values once f is set;
+      - S at (x, y, z), x->c(y) = (x->y)->c(x), is checked for each
+        pair once both cells are set.
+    B's elements are filled from the top down, each after every element
+    above it.  As x->y >= y, the cells a pair reads are then set when
+    the pair is checked.
+
+    Once row z is set, the search stops unless z has a largest up-set
+    among the minimal elements of A, |up(z)| being the elements w of B
+    with f(w) = 1, plus z and 1.  This still meets every class: delete
+    from any n-element algebra a minimal element with a largest up-set,
+    and what remains is a subalgebra isomorphic to a representative B,
+    so growing B meets the algebra with z in that role.  The other
+    minimal elements of A are the minimal elements w of B that z is not
+    below (f(w) != 1), and each keeps its up-set in B, since w <= z
+    would be c(w) = 1.
+    """
+    n = m + 1
+    z, top = m - 1, m
+    labels = list(range(z)) + [top]  # B's element b is labels[b] in A
+    t = [[top] * n for _ in range(n)]
+    for a, la in enumerate(labels):
+        row = t[la]
+        for b, lb in enumerate(labels):
+            row[lb] = labels[B[a * m + b]]
+    t[top][z] = z
+    f = t[z]  # z -> x, filled in place; z -> z = z -> 1 = 1 already
+    up = [[y for y in labels if t[x][y] == top] for x in range(z)]
+    order = sorted(range(z), key=lambda x: len(up[x]))
+    minimal = [
+        (w, len(up[w]))
+        for w in range(z)
+        if not any(y != w and t[y][w] == top for y in range(z))
+    ]
+
+    def columns(i, values, done):
+        if i == len(order):
+            yield bytes(v for row in t for v in row)
+            return
+        x = order[i]
+        tx = t[x]
+        done = done + [x]
+        for w in values[i]:
+            tx[z] = w
+            if all(
+                tx[t[y][z]] == t[tx[y]][w] and t[y][w] == t[t[y][x]][t[y][z]]
+                for y in done
+            ):
+                yield from columns(i + 1, values, done)
+
+    def rows(i, done):
+        if i == len(order):
+            above = [z] + [w for w in order if f[w] == top]
+            if any(f[w] != top and size > len(above) + 1 for w, size in minimal):
+                return
+            values = [
+                [w for w in above if all(t[x][f[y]] == t[w][t[x][y]] for y in order)]
+                for x in order
+            ]
+            if all(values):
+                yield from columns(0, values, [])
+            return
+        x = order[i]
+        tx = t[x]
+        done = done + [x]
+        for w in up[x]:
+            if w != x and f[w] != w:
+                continue
+            f[x] = w
+            tw = t[w]
+            if all(f[tx[y]] == tw[f[y]] and f[t[y][x]] == t[f[y]][w] for y in done):
+                yield from rows(i + 1, done)
+
+    yield from rows(0, [])
+
+
+def _table_levels(n: int) -> List[Tuple[tuple, ...]]:
+    """The canonical flat tables of the Hilbert algebras of each size
+    1..n, each level ascending and grown from the level below."""
+    levels = [((0,),)]
+    for size in range(2, n + 1):
+        relabellers = _table_relabellers(size)
+        found = set()
+        for B in levels[-1]:
+            for flat in _grow(B, size - 1):
+                found.add(_canonical(flat, relabellers))
+        levels.append(tuple(sorted(found)))
+    return levels

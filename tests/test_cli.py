@@ -12,7 +12,7 @@ from hilbertalg import (
     validate,
 )
 from hilbertalg import filters
-from hilbertalg.cli import NMAX_LIMIT, main
+from hilbertalg.cli import FILTER_LIST_LIMIT, NMAX_LIMIT, main
 from hilbertalg.core import mask_str
 from hilbertalg.files import dump_algebra, load_algebra, parse_algebra_text
 from hilbertalg.errors import AlgebraFileError
@@ -251,6 +251,49 @@ class TestAnalyze:
             "9223372036854775808 filters, spectrum 63 (antichain), depth 1",
             "spectrum Hasse: (no covers)",
         ]
+
+    @pytest.mark.parametrize("flags", [["--filters"], ["--dot", "out"], ["--filters", "--dot", "out"]])
+    def test_listing_past_the_limit_refused(self, tmp_path, capsys, monkeypatch, flags):
+        """--filters and --dot refuse fan(63)'s 2^63 filters up front:
+        exit 1, nothing on stdout, one error line with the count."""
+
+        def refuse(A):
+            raise AssertionError("Fi(A) was built")
+
+        monkeypatch.setattr(filters, "_build_lattice", refuse)
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "fan63.json"
+        path.write_text(dump_algebra(fan(63)))
+        assert main(["analyze", str(path)] + flags) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            f"error: 9223372036854775808 filters exceed the listing limit "
+            f"{FILTER_LIST_LIMIT} of --filters and --dot\n"
+        )
+        assert FILTER_LIST_LIMIT == 1 << 16
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("flag", ["--filters", "--dot"])
+    def test_listing_limit_boundary(self, tmp_path, capsys, monkeypatch, flag):
+        """With the limit lowered to 2^12, fan(12)'s 4,096 filters are
+        listed and fan(13)'s 8,192 refused."""
+        monkeypatch.setattr("hilbertalg.cli.FILTER_LIST_LIMIT", 4096)
+        args = [flag] if flag == "--filters" else [flag, str(tmp_path / "out")]
+        for m, code in ((12, 0), (13, 1)):
+            path = tmp_path / f"fan{m}.json"
+            path.write_text(dump_algebra(fan(m)))
+            assert main(["analyze", str(path)] + args) == code
+            out = capsys.readouterr()
+            if code:
+                assert out.out == ""
+                assert out.err == (
+                    "error: 8192 filters exceed the listing limit 4096 of --filters and --dot\n"
+                )
+            else:
+                assert out.out.startswith("4096 filters, spectrum 12 (antichain)")
+                assert out.out.count("  filter ") == (4096 if flag == "--filters" else 0)
+                assert out.err == ""
 
 
 class TestVerify:

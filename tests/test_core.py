@@ -652,7 +652,8 @@ def test_only_stdlib_imports():
     package = Path(hilbertalg.__file__).resolve().parent
     outside = []
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        source = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source, feature_version=(3, 10))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:

@@ -23,16 +23,19 @@ from hilbertalg.enumeration import (
     _class_codes,
     _class_tables,
     _closed_masks,
+    _closed_sets,
     _code_relabellers,
-    _enumerate_levels,
+    _down_sets,
     _flat_relation,
-    _grow,
     _least_code,
+    _seeded_tables,
     _table_relabellers,
     enum_cap,
 )
 from hilbertalg.errors import RangeError, SizeLimitError
 from oracles import (
+    _grow,
+    _table_levels,
     backtracked_hilbert_classes,
     canonical_by_scan,
     check_order_by_cells,
@@ -173,6 +176,48 @@ class TestEnumerateHilbert:
         assert len(mine) == 550
         assert mine == [A.arrow for A in closure_hilbert_classes(7)]
 
+    def test_same_as_minimal_element_growth(self):
+        """The whole output for n <= 7, order included, against growth by
+        one new minimal element, which shares only _canonical with the
+        seeded search."""
+        levels = _table_levels(7)
+        for n in range(1, 8):
+            mine = [sum(A.arrow, ()) for A in enumerate_hilbert(n, cap=7)]
+            assert mine == list(levels[n - 1]), n
+
+    @pytest.mark.slow
+    def test_same_as_minimal_element_growth_at_eight(self):
+        """4,036 classes at size 8, order included, by both generators."""
+        mine = [sum(A.arrow, ()) for A in enumerate_hilbert(8, cap=8)]
+        assert len(mine) == 4036
+        assert mine == list(_table_levels(8)[-1])
+
+    def test_closed_sets_same_as_closed_subsets(self):
+        """On every class of posets with k < n <= 6 points: the n-element
+        closed subsets of Up(P) that hold every co-principal up-set,
+        read as masks of up-sets through the reduct's carrier."""
+        for n in range(1, 7):
+            for k in range(n):
+                posets = all_posets(k, up_to_iso=True)
+                for (_, down), P in zip(_class_codes(k), posets):
+                    heyting, U = heyting_from_poset(P)
+                    carrier = heyting.carrier
+                    full = (1 << k) - 1
+                    coprincipal = sum(1 << carrier.index(full & ~d) for d in down)
+                    expected = sorted(
+                        sum(1 << carrier[i] for i in iter_bits(S))
+                        for S in closed_subsets(U, n)
+                        if S & coprincipal == coprincipal
+                    )
+                    assert _closed_sets(_down_sets(down), n) == expected, (n, down)
+
+    def test_seeded_table_counts(self):
+        """How many distinct tables the seeded search keys at each size,
+        one _canonical each (growth by a minimal element keys 1, 2, 7,
+        28, 139 and 805)."""
+        counts = {n: len(_seeded_tables(n)) for n in range(2, 8)}
+        assert counts == {2: 1, 3: 2, 4: 6, 5: 23, 6: 111, 7: 663}
+
     def test_grown_tables_are_algebras_with_the_seed_below(self):
         """Every table _grow yields is a Hilbert algebra with n-2 minimal
         and the seed on the other elements, and no table comes twice."""
@@ -203,13 +248,13 @@ class TestEnumerateHilbert:
         assert counts == {2: 1, 3: 2, 4: 7, 5: 28, 6: 139, 7: 805}
 
     def test_canonical_same_as_permutation_scan(self):
-        """On every table enumerate_hilbert keys, on every closed-set table
-        the closure generator keys, and on seeded relabellings of each
-        (top kept at n-1)."""
+        """On every table enumerate_hilbert keys, on every table growth by
+        a minimal element and the closure generator key, and on seeded
+        relabellings of each closed-set table (top kept at n-1)."""
         rng = random.Random(9)
         for n in range(1, 6):
             relabellers = _table_relabellers(n)
-            tables = []
+            tables = [tuple(t) for t in _seeded_tables(n)]
             if n > 1:
                 tables += [tuple(t) for B in _class_tables(n - 1) for t in _grow(B, n - 1)]
             for k in range(n):
@@ -319,19 +364,24 @@ class TestEnumerateHilbert:
         with pytest.raises(RangeError):
             enumerate_hilbert(0)
 
-    def test_levels_same_as_each_size(self, monkeypatch):
-        """One walk gives enumerate_hilbert(size) for every size up to n,
-        and above the cap refuses the first size past it."""
-        levels = _enumerate_levels(5)
-        assert [[A.arrow for A in level] for level in levels] == [
-            [A.arrow for A in enumerate_hilbert(size)] for size in range(1, 6)
-        ]
+    def test_verify_enumerate_refuses_past_the_cap_before_generation(
+        self, monkeypatch, capsys
+    ):
+        """verify --enumerate N refuses the first size past the cap, with
+        one error line and nothing on stdout, before any size is
+        generated."""
+
+        def refuse(n):
+            raise AssertionError("generation started")
+
+        monkeypatch.setattr(enumeration, "_class_tables", refuse)
+        monkeypatch.delenv("HILBERT_SIZE_CAP", raising=False)
         for n in (6, 8):
-            with pytest.raises(SizeLimitError, match="^size 6 exceeds enumeration cap 5$"):
-                _enumerate_levels(n)
+            assert cli.main(["verify", "--enumerate", str(n)]) == 1
+            assert capsys.readouterr() == ("", "error: size 6 exceeds enumeration cap 5\n")
         monkeypatch.setenv("HILBERT_SIZE_CAP", "3")
-        with pytest.raises(SizeLimitError, match="^size 4 exceeds enumeration cap 3$"):
-            _enumerate_levels(7)
+        assert cli.main(["verify", "--enumerate", "7"]) == 1
+        assert capsys.readouterr() == ("", "error: size 4 exceeds enumeration cap 3\n")
 
     def test_new_objects_on_every_call(self):
         """Each call builds its tables and algebras afresh, with equal
