@@ -9,7 +9,7 @@ co-principal up-set Spec A - down(M): a_M is in M' iff a_M is not
 below a_M', iff M' is not inside M.  So every n-element class is an
 n-element ->-closed set of up-sets of a poset P with k < n points that
 holds all of P's co-principal up-sets, where U -> V = P - down(U - V).
-enumerate_hilbert(n) takes each class of such posets from _class_codes,
+enumerate_hilbert(n) walks the classes of such posets level by level,
 closes P and its co-principal up-sets under ->, and grows the
 n-element closed sets above that closure one up-set at a time
 (_closed_sets).  Each set's table, its members numbered in ascending
@@ -24,13 +24,12 @@ a candidate is dropped as soon as its new point cannot be the one
 chosen for deletion, a maximal point with a largest down-set.  Each
 poset left is keyed by its least code (_least_code).
 
-The least poset codes of each number of points are cached, with the
-down-set masks of the posets they code, so each level is built once
-per process; all_posets and enumerate_hilbert read them.  The canonical
-tables are not cached: each call of enumerate_hilbert builds its size
-on its own, so its cost does not depend on what ran before it, beyond
-the poset codes.  enumerate_hilbert and all_posets build new, validated
-objects on every call.
+For all_posets the least poset codes of each number of points are
+cached, with the down-set masks of the posets they code, so each level
+is built once per process.  enumerate_hilbert keeps nothing: each call
+walks its own poset levels and builds its own canonical tables, so its
+cost does not depend on what ran before it.  enumerate_hilbert and
+all_posets build new, validated objects on every call.
 """
 
 from __future__ import annotations
@@ -209,7 +208,8 @@ def _up_masks(down) -> list:
 def _down_sets(down) -> list:
     """below[X], the down-set of each set X of points (a mask indexing
     the list), from the principal down-set masks `down`: below[X] is
-    below[X - {x}] | down[x] for the least point x of X, 2^k steps."""
+    below[X - {x}] | down[x] for the least point x of X, 2^k steps.
+    Only for generation, where k < n <= 8."""
     below = [0] * (1 << len(down))
     for X in range(1, len(below)):
         low = X & -X
@@ -296,11 +296,10 @@ def _least_code(down) -> tuple:
     return tuple(code)
 
 
-@cache
-def _class_codes(k: int) -> Tuple[Tuple[tuple, tuple], ...]:
+def _next_classes(classes: tuple) -> Tuple[Tuple[tuple, tuple], ...]:
     """The least code of each isomorphism class of k-point posets, with
     the principal down-set masks of the poset it codes, as (code, down)
-    pairs in ascending code order.
+    pairs in ascending code order, from the same pairs for k-1 points.
 
     Every class is reached by a representative on k-1 points plus a new
     maximal point k-1 above one of its down-sets, where the new point's
@@ -310,13 +309,11 @@ def _class_codes(k: int) -> Tuple[Tuple[tuple, tuple], ...]:
     its down-set and the other maximal points keeping theirs.  Candidates
     whose new point has a smaller down-set than a maximal point outside
     it are skipped.  Each candidate is keyed by _least_code, and each
-    class's code is decoded once.  Cached: each level is built once per
-    process from the one below.
+    class's code is decoded once.
     """
-    if k == 0:
-        return (((), ()),)
+    k = len(classes[0][1]) + 1
     codes = set()
-    for _, down in _class_codes(k - 1):
+    for _, down in classes:
         up = _up_masks(down)
         tops = [(y, down[y].bit_count()) for y in range(k - 1) if up[y] == 1 << y]
         for below in _closed_masks(down):
@@ -324,6 +321,16 @@ def _class_codes(k: int) -> Tuple[Tuple[tuple, tuple], ...]:
             if all(below >> y & 1 or s <= size for y, s in tops):
                 codes.add(_least_code(down + (below | bit(k - 1),)))
     return tuple((code, _down_masks(k, code)) for code in sorted(codes))
+
+
+_NO_POINTS = (((), ()),)  # the one poset on no points
+
+
+@cache
+def _class_codes(k: int) -> Tuple[Tuple[tuple, tuple], ...]:
+    """_next_classes' pairs for k points.  Cached for all_posets: each
+    level is built once per process from the one below."""
+    return _NO_POINTS if k == 0 else _next_classes(_class_codes(k - 1))
 
 
 def all_posets(k: int, up_to_iso: bool = False) -> List[Poset]:
@@ -395,20 +402,30 @@ def heyting_from_poset(P: Poset) -> Tuple[HeytingAlgebra, FiniteHilbertAlgebra]:
     """The upset algebra of P and its implication reduct.
 
     U -> V is the set of x with upset(x) & U <= V, that is, the points
-    not below any point of U - V: P minus the down-set of U - V, read
-    from _down_sets.
+    not below any point of U - V: P minus the down-set of U - V.  Each
+    cell ORs the principal down-sets of U - V, computed once, so the cost
+    is polynomial in the points and the up-sets (a k-chain has k + 1).
     """
     ups = [P.upset_mask(x) for x in range(P.size)]
-    below = _down_sets(_up_masks(ups))
+    downs = _up_masks(ups)
     carrier = _closed_masks(ups)
     index = {mask: i for i, mask in enumerate(carrier)}
-    full = len(below) - 1
-    table = [[index[full ^ below[U & ~V]] for V in carrier] for U in carrier]
+    k = len(carrier)
+    full = (1 << P.size) - 1
+    table = []
+    for U in carrier:
+        row = []
+        for V in carrier:
+            below = 0
+            for y in iter_bits(U & ~V):
+                below |= downs[y]
+            row.append(index[full & ~below])
+        table.append(row)
     heyting = HeytingAlgebra(
         poset=P,
         carrier=tuple(carrier),
         arrow=tuple(tuple(r) for r in table),
-        top=len(carrier) - 1,
+        top=k - 1,
         bottom=0,
     )
     return heyting, FiniteHilbertAlgebra.from_table(table)
@@ -493,10 +510,15 @@ def _closed_sets(below: Sequence[int], n: int) -> List[int]:
 def _seeded_tables(n: int) -> set:
     """The distinct flat tables, as bytes, of the sets _closed_sets finds
     over every class of posets with fewer than n points.  Members are
-    numbered in ascending order, so P is the top at n-1."""
+    numbered in ascending order, so P is the top at n-1.  The poset
+    classes are built here, a level at a time, not read from the
+    _class_codes cache."""
     tables = set()
+    classes = _NO_POINTS
     for k in range(n):
-        for _, down in _class_codes(k):
+        if k:
+            classes = _next_classes(classes)
+        for _, down in classes:
             below = _down_sets(down)
             full = len(below) - 1
             for S in _closed_sets(below, n):

@@ -211,6 +211,16 @@ class TestEnumerateHilbert:
                     )
                     assert _closed_sets(_down_sets(down), n) == expected, (n, down)
 
+    def test_generation_keeps_no_poset_codes(self):
+        """enumerate_hilbert walks its own poset levels: it leaves the
+        _class_codes cache that all_posets fills empty, and its output
+        does not depend on whether that cache was filled before."""
+        _class_codes.cache_clear()
+        cold = [sum(A.arrow, ()) for A in enumerate_hilbert(5, cap=5)]
+        assert _class_codes.cache_info().currsize == 0
+        all_posets(4)
+        assert [sum(A.arrow, ()) for A in enumerate_hilbert(5, cap=5)] == cold
+
     def test_seeded_table_counts(self):
         """How many distinct tables the seeded search keys at each size,
         one _canonical each (growth by a minimal element keys 1, 2, 7,
@@ -553,6 +563,16 @@ class TestHeytingFromPoset:
     def test_one_point_poset(self, a2):
         _, reduct = heyting_from_poset(Poset(1, ((True,),)))
         assert find_isomorphism(reduct, a2) is not None
+
+    def test_long_chain(self):
+        """A 63-point chain has 64 up-sets, the largest carrier allowed,
+        and its reduct has depth 63, the length of the chain; the reduct
+        is built cell by cell, not from all 2^63 point sets."""
+        k = 63
+        P = Poset(k, tuple(tuple(a <= b for b in range(k)) for a in range(k)))
+        heyting, reduct = heyting_from_poset(P)
+        assert reduct.size == len(heyting.carrier) == 64
+        assert depth(reduct) == P.longest_chain() == 63
 
     def test_two_chain(self, chain3):
         P = Poset(2, ((True, True), (False, True)))
