@@ -8,7 +8,7 @@ import sys
 from .core import MAX_UNIVERSE, mask_str, subset_of
 from .depth_terms import verify_main_theorem
 from .dot import hasse_covers, poset_dot
-from .enumeration import enum_cap, enumerate_hilbert
+from .enumeration import _algebras, _seeded_tables, enum_cap, enumerate_hilbert
 from .errors import (
     AlgebraFileError,
     HilbertError,
@@ -112,9 +112,8 @@ def cmd_verify(args) -> int:
         cap = enum_cap()
         if args.enumerate > cap:  # refuse the first size past the cap, up front
             raise SizeLimitError(f"size {cap + 1} exceeds enumeration cap {cap}")
-        algebras = [
-            A for size in range(1, args.enumerate + 1) for A in enumerate_hilbert(size, cap)
-        ]
+        tables = _seeded_tables(args.enumerate)  # one poset walk for every size
+        algebras = [A for size, flats in tables.items() for A in _algebras(size, flats)]
         pairs = 0
         bad = 0
         for A in algebras:

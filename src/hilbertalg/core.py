@@ -51,6 +51,12 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_mask(A, X: int) -> None:
+    # a negative mask has endless bits; a bit past the universe is no row
+    if X < 0 or X >> A.size:
+        raise RangeError(f"mask {X:#x} not inside the universe [0,{A.size})")
+
+
 def mask_str(mask: int, names: Optional[Sequence[str]] = None) -> str:
     if names is None:
         return "{" + ",".join(str(i) for i in iter_bits(mask)) + "}"
@@ -403,6 +409,7 @@ def generated_subuniverse(A: FiniteHilbertAlgebra, X: int) -> int:
     members that joined before it and with itself: every pair is
     computed once.
     """
+    _check_mask(A, X)
     arrow = A.arrow
     closed = bit(A.top)
     members = [A.top]

@@ -9,14 +9,14 @@ co-principal up-set Spec A - down(M): a_M is in M' iff a_M is not
 below a_M', iff M' is not inside M.  So every n-element class is an
 n-element ->-closed set of up-sets of a poset P with k < n points that
 holds all of P's co-principal up-sets, where U -> V = P - down(U - V).
-enumerate_hilbert(n) walks the classes of such posets level by level,
-closes P and its co-principal up-sets under ->, and grows the
-n-element closed sets above that closure one up-set at a time
-(_closed_sets).  Each set's table, its members numbered in ascending
-order so that P is the top at n-1, is keyed by its canonical form (the
+_seeded_tables(n) walks the classes of such posets level by level,
+closes P and its co-principal up-sets under ->, and grows the closed
+sets of at most n members above that closure one up-set at a time
+(_closed_sets), so one walk serves every size up to n.  Each set's
+table, its members numbered in ascending order so that P is the top, is
+filed under its size and keyed by its canonical form (the
 lexicographically least table over the permutations fixing the top),
-computed once per distinct table, and the classes come out in ascending
-canonical-table order.
+once per distinct table; the classes come out in ascending order.
 
 Posets are grown by a new maximal point and follow the orderly rule
 (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998):
@@ -26,9 +26,9 @@ poset left is keyed by its least code (_least_code).
 
 For all_posets the least poset codes of each number of points are
 cached, with the down-set masks of the posets they code, so each level
-is built once per process.  enumerate_hilbert keeps nothing: each call
-walks its own poset levels and builds its own canonical tables, so its
-cost does not depend on what ran before it.  enumerate_hilbert and
+is built once per process.  Generation keeps nothing: each call walks
+its own poset levels and builds its own canonical tables, so its cost
+does not depend on what ran before it.  enumerate_hilbert and
 all_posets build new, validated objects on every call.
 """
 
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, compress, permutations
 from operator import itemgetter
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .core import FiniteHilbertAlgebra, _Frozen, bit, iter_bits, subset_of
 from .errors import RangeError, SizeLimitError
@@ -458,7 +458,7 @@ def _canonical(flat: bytes, relabellers) -> tuple:
 
 
 def _closed_sets(below: Sequence[int], n: int) -> List[int]:
-    """The n-element sets of up-sets of a poset P that hold P and every
+    """The sets of at most n up-sets of a poset P that hold P and every
     co-principal up-set P - down(x) and are closed under
     U -> V = P - below[U - V], where `below` is _down_sets of P's
     principal down-sets.  Each set is a mask with bit U for each member
@@ -504,16 +504,17 @@ def _closed_sets(below: Sequence[int], n: int) -> List[int]:
                 if grown is not None and grown[0] not in seen:
                     seen.add(grown[0])
                     frontier.append(grown)
-    return sorted(S for S in seen if S.bit_count() == n)
+    return sorted(seen)
 
 
-def _seeded_tables(n: int) -> set:
+def _seeded_tables(n: int) -> Dict[int, set]:
     """The distinct flat tables, as bytes, of the sets _closed_sets finds
-    over every class of posets with fewer than n points.  Members are
-    numbered in ascending order, so P is the top at n-1.  The poset
-    classes are built here, a level at a time, not read from the
-    _class_codes cache."""
-    tables = set()
+    over every class of posets with fewer than n points, filed under
+    their sizes 1..n; k points give sets of more than k members, so entry
+    m is the same for every n >= m.  Members are numbered in ascending
+    order, so P is the top.  The poset classes are built here, a level at
+    a time, not read from the _class_codes cache."""
+    tables = {m: set() for m in range(1, n + 1)}
     classes = _NO_POINTS
     for k in range(n):
         if k:
@@ -524,31 +525,27 @@ def _seeded_tables(n: int) -> set:
             for S in _closed_sets(below, n):
                 members = list(iter_bits(S))
                 index = {U: i for i, U in enumerate(members)}
-                tables.add(bytes(index[full ^ below[U & ~V]] for U in members for V in members))
+                flat = bytes(index[full ^ below[U & ~V]] for U in members for V in members)
+                tables[len(members)].add(flat)
     return tables
 
 
-def _class_tables(n: int) -> Tuple[tuple, ...]:
-    """The canonical flat tables of the n-element Hilbert algebras,
-    ascending, one _canonical per distinct seeded table."""
+def _algebras(n: int, tables) -> List[FiniteHilbertAlgebra]:
+    """One algebra per class among the n-element flat tables `tables`,
+    ascending by canonical table, one _canonical per distinct table."""
     relabellers = _table_relabellers(n)
-    return tuple(sorted({_canonical(flat, relabellers) for flat in _seeded_tables(n)}))
+    return [
+        FiniteHilbertAlgebra.from_table([list(flat[a * n : (a + 1) * n]) for a in range(n)])
+        for flat in sorted({_canonical(flat, relabellers) for flat in tables})
+    ]
 
 
-def enumerate_hilbert(
-    n: int, cap: Optional[int] = None
-) -> List[FiniteHilbertAlgebra]:
+def enumerate_hilbert(n: int) -> List[FiniteHilbertAlgebra]:
     """One representative per isomorphism class of n-element Hilbert
-    algebras, in ascending canonical-table order."""
+    algebras, in ascending canonical-table order; refused past enum_cap()."""
     if n < 1:
         raise RangeError("size must be at least 1")
-    if cap is None:
-        cap = enum_cap()
+    cap = enum_cap()
     if n > cap:
         raise SizeLimitError(f"size {n} exceeds enumeration cap {cap}")
-    return [
-        FiniteHilbertAlgebra.from_table(
-            [list(flat[a * n : (a + 1) * n]) for a in range(n)]
-        )
-        for flat in _class_tables(n)
-    ]
+    return _algebras(n, _seeded_tables(n)[n])

@@ -6,7 +6,7 @@ class HilbertError(Exception):
 
 
 class RangeError(HilbertError):
-    """A raw table entry is outside the universe [0, n)."""
+    """A table entry, an element or a mask is outside the universe [0, n)."""
 
 
 class InvalidAlgebraError(HilbertError):

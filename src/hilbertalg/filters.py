@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
-from .core import FiniteHilbertAlgebra, _Frozen, bit, iter_bits, subset_of
+from .core import FiniteHilbertAlgebra, _check_mask, _Frozen, bit, iter_bits, subset_of
 from .enumeration import _closed_masks
-from .errors import PreconditionError
+from .errors import PreconditionError, RangeError
 
 
 def is_implicative_filter(A: FiniteHilbertAlgebra, S: int) -> bool:
@@ -28,6 +28,7 @@ def fg_closure(A: FiniteHilbertAlgebra, X: int) -> int:
     and each step Fg(F | {a}) is one row of the table (_fg_with, the
     deduction theorem).  A member already in F changes nothing.
     """
+    _check_mask(A, X)
     F = bit(A.top)
     for a in iter_bits(X):
         if not F >> a & 1:
@@ -171,6 +172,9 @@ def separate(A: FiniteHilbertAlgebra, F: int, a: int) -> int:
     bit pattern (the classical proof extends F to a filter maximal among
     those avoiding a).
     """
+    _check_mask(A, F)
+    if not 0 <= a < A.size:
+        raise RangeError(f"element index {a} out of range [0,{A.size})")
     return _separate(A, F, a, bit(A.top))
 
 

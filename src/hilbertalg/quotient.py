@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .core import _BYTE_VALUES, FiniteHilbertAlgebra, _Frozen, bit, iter_bits
+from .core import _BYTE_VALUES, FiniteHilbertAlgebra, _check_mask, _Frozen, bit, iter_bits
 from .errors import InternalInvariantError, InvalidAlgebraError, NotAFilterError
 from .filters import all_filters
 
@@ -44,8 +44,9 @@ def theta(A: FiniteHilbertAlgebra, F: int) -> Congruence:
     holds 1 and R[a] lies inside F for every a in F, which is modus
     ponens with a as the premise.
     """
+    _check_mask(A, F)
     n = A.size
-    digits = format(F, f"0{n}b")[::-1][:n].encode() + _BYTE_VALUES[n:]
+    digits = format(F, f"0{n}b")[::-1].encode() + _BYTE_VALUES[n:]
     bits = b"".join(map(bytes, A.arrow)).translate(digits)[::-1]
     # bits[k*n : (k+1)*n] is row n-1-k and bits[k::n] column n-1-k.
     rows = [int(bits[k : k + n], 2) for k in range(0, n * n, n)][::-1]

@@ -286,6 +286,32 @@ class TestGeneratedSubuniverse:
                     assert generated_subuniverse(U, X) == closure_by_rounds(U, X)
 
 
+    @pytest.mark.parametrize("X", [-1, 1 << 4, 1 << 10])
+    def test_mask_outside_the_universe(self, X):
+        """A mask with bits outside chain_algebra(3) raises RangeError.
+        It runs in a subprocess with a timeout: iter_bits of a negative
+        mask never ends, so without the check this test would hang."""
+        code = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from hilbertalg import chain_algebra, generated_subuniverse\n"
+            "from hilbertalg.errors import RangeError\n"
+            "try:\n"
+            "    generated_subuniverse(chain_algebra(3), int(sys.argv[2]))\n"
+            "except RangeError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(hilbertalg.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code, src, str(X)],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == f"mask {X:#x} not inside the universe [0,4)\n"
+
+
 class TestIsomorphism:
     def test_identity(self, a2):
         assert find_isomorphism(a2, a2) == (0, 1)

@@ -19,9 +19,9 @@ from hilbertalg import cli, enumeration
 from hilbertalg.core import axioms_hold, iter_bits
 from hilbertalg.enumeration import (
     Poset,
+    _algebras,
     _canonical,
     _class_codes,
-    _class_tables,
     _closed_masks,
     _closed_sets,
     _code_relabellers,
@@ -117,6 +117,13 @@ def dfs_classes(n):
     return classes
 
 
+def class_tables(n):
+    """The canonical flat tables of the classes of each size 1..n, from
+    one seeded search."""
+    tables = _seeded_tables(n)
+    return {m: [sum(A.arrow, ()) for A in _algebras(m, flats)] for m, flats in tables.items()}
+
+
 def scanned_posets(k, up_to_iso):
     """Oracle: scan all 3^C(k,2) reflexive antisymmetric relations in
     product order, keep the transitive ones, and with up_to_iso keep the
@@ -165,37 +172,42 @@ class TestEnumerateHilbert:
             mine = [A.arrow for A in enumerate_hilbert(n)]
             assert mine == [A.arrow for A in scanned_hilbert_classes(n)], n
 
-    def test_same_as_closure_generator(self):
+    def test_same_as_closure_generator(self, monkeypatch):
+        monkeypatch.setenv("HILBERT_SIZE_CAP", "6")
         for n in range(1, 7):
-            mine = [A.arrow for A in enumerate_hilbert(n, cap=6)]
+            mine = [A.arrow for A in enumerate_hilbert(n)]
             assert mine == [A.arrow for A in closure_hilbert_classes(n)], n
 
     @pytest.mark.slow
-    def test_same_as_closure_generator_at_seven(self):
-        mine = [A.arrow for A in enumerate_hilbert(7, cap=7)]
+    def test_same_as_closure_generator_at_seven(self, monkeypatch):
+        monkeypatch.setenv("HILBERT_SIZE_CAP", "7")
+        mine = [A.arrow for A in enumerate_hilbert(7)]
         assert len(mine) == 550
         assert mine == [A.arrow for A in closure_hilbert_classes(7)]
 
-    def test_same_as_minimal_element_growth(self):
+    def test_same_as_minimal_element_growth(self, monkeypatch):
         """The whole output for n <= 7, order included, against growth by
         one new minimal element, which shares only _canonical with the
         seeded search."""
+        monkeypatch.setenv("HILBERT_SIZE_CAP", "7")
         levels = _table_levels(7)
         for n in range(1, 8):
-            mine = [sum(A.arrow, ()) for A in enumerate_hilbert(n, cap=7)]
+            mine = [sum(A.arrow, ()) for A in enumerate_hilbert(n)]
             assert mine == list(levels[n - 1]), n
 
     @pytest.mark.slow
-    def test_same_as_minimal_element_growth_at_eight(self):
+    def test_same_as_minimal_element_growth_at_eight(self, monkeypatch):
         """4,036 classes at size 8, order included, by both generators."""
-        mine = [sum(A.arrow, ()) for A in enumerate_hilbert(8, cap=8)]
+        monkeypatch.setenv("HILBERT_SIZE_CAP", "8")
+        mine = [sum(A.arrow, ()) for A in enumerate_hilbert(8)]
         assert len(mine) == 4036
         assert mine == list(_table_levels(8)[-1])
 
     def test_closed_sets_same_as_closed_subsets(self):
-        """On every class of posets with k < n <= 6 points: the n-element
-        closed subsets of Up(P) that hold every co-principal up-set,
-        read as masks of up-sets through the reduct's carrier."""
+        """On every class of posets with k < n <= 6 points: the closed
+        subsets of Up(P) with at most n members that hold every
+        co-principal up-set, read as masks of up-sets through the
+        reduct's carrier."""
         for n in range(1, 7):
             for k in range(n):
                 posets = all_posets(k, up_to_iso=True)
@@ -206,7 +218,8 @@ class TestEnumerateHilbert:
                     coprincipal = sum(1 << carrier.index(full & ~d) for d in down)
                     expected = sorted(
                         sum(1 << carrier[i] for i in iter_bits(S))
-                        for S in closed_subsets(U, n)
+                        for m in range(1, n + 1)
+                        for S in closed_subsets(U, m)
                         if S & coprincipal == coprincipal
                     )
                     assert _closed_sets(_down_sets(down), n) == expected, (n, down)
@@ -216,17 +229,45 @@ class TestEnumerateHilbert:
         _class_codes cache that all_posets fills empty, and its output
         does not depend on whether that cache was filled before."""
         _class_codes.cache_clear()
-        cold = [sum(A.arrow, ()) for A in enumerate_hilbert(5, cap=5)]
+        cold = [sum(A.arrow, ()) for A in enumerate_hilbert(5)]
         assert _class_codes.cache_info().currsize == 0
         all_posets(4)
-        assert [sum(A.arrow, ()) for A in enumerate_hilbert(5, cap=5)] == cold
+        assert [sum(A.arrow, ()) for A in enumerate_hilbert(5)] == cold
 
     def test_seeded_table_counts(self):
         """How many distinct tables the seeded search keys at each size,
         one _canonical each (growth by a minimal element keys 1, 2, 7,
         28, 139 and 805)."""
-        counts = {n: len(_seeded_tables(n)) for n in range(2, 8)}
-        assert counts == {2: 1, 3: 2, 4: 6, 5: 23, 6: 111, 7: 663}
+        counts = {m: len(tables) for m, tables in _seeded_tables(7).items()}
+        assert counts == {1: 1, 2: 1, 3: 2, 4: 6, 5: 23, 6: 111, 7: 663}
+
+    def test_one_search_serves_every_smaller_size(self):
+        """The tables of size m that one search up to size n files are the
+        tables the search up to size m finds, for every m <= n <= 7."""
+        searches = {n: _seeded_tables(n) for n in range(1, 8)}
+        for n, tables in searches.items():
+            assert list(tables) == list(range(1, n + 1))
+            for m in range(1, n + 1):
+                assert tables[m] == searches[m][m], (n, m)
+
+    def test_verify_enumerate_walks_the_posets_once(self, monkeypatch, capsys):
+        """verify --enumerate 5 closes each of the 25 poset classes with
+        fewer than 5 points once and builds the poset levels 1..4 once,
+        where one search per size would take 41 and 10 steps."""
+        calls = {"_closed_sets": 0, "_next_classes": 0}
+        for name in calls:
+            original = getattr(enumeration, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(enumeration, name, counted)
+        monkeypatch.delenv("HILBERT_SIZE_CAP", raising=False)
+        assert cli.main(["verify", "--enumerate", "5"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "31 algebras checked, 155 (algebra,n) pairs, all agree"
+        assert calls == {"_closed_sets": 25, "_next_classes": 4}
 
     def test_grown_tables_are_algebras_with_the_seed_below(self):
         """Every table _grow yields is a Hilbert algebra with n-2 minimal
@@ -234,7 +275,7 @@ class TestEnumerateHilbert:
         for n in range(2, 7):
             m = n - 1
             labels = list(range(m - 1)) + [n - 1]
-            for B in _class_tables(m):
+            for B in class_tables(m)[m]:
                 grown = list(_grow(B, m))
                 assert len(set(grown)) == len(grown)
                 for flat in grown:
@@ -251,9 +292,9 @@ class TestEnumerateHilbert:
         """How many tables _grow yields from all representatives of each
         size, with the minimal-element rule: without it, 38 at n = 5,
         202 at n = 6 and 1,289 at n = 7."""
+        levels = class_tables(6)
         counts = {
-            n: sum(len(list(_grow(B, n - 1))) for B in _class_tables(n - 1))
-            for n in range(2, 8)
+            n: sum(len(list(_grow(B, n - 1))) for B in levels[n - 1]) for n in range(2, 8)
         }
         assert counts == {2: 1, 3: 2, 4: 7, 5: 28, 6: 139, 7: 805}
 
@@ -262,11 +303,12 @@ class TestEnumerateHilbert:
         a minimal element and the closure generator key, and on seeded
         relabellings of each closed-set table (top kept at n-1)."""
         rng = random.Random(9)
+        seeded, levels = _seeded_tables(5), class_tables(4)
         for n in range(1, 6):
             relabellers = _table_relabellers(n)
-            tables = [tuple(t) for t in _seeded_tables(n)]
+            tables = [tuple(t) for t in seeded[n]]
             if n > 1:
-                tables += [tuple(t) for B in _class_tables(n - 1) for t in _grow(B, n - 1)]
+                tables += [tuple(t) for B in levels[n - 1] for t in _grow(B, n - 1)]
             for k in range(n):
                 for P in all_posets(k, up_to_iso=True):
                     _, U = heyting_from_poset(P)
@@ -291,8 +333,9 @@ class TestEnumerateHilbert:
                 ), (n, flat)
 
     @pytest.mark.slow
-    def test_same_as_backtracking_at_six(self):
-        mine = [sum(A.arrow, ()) for A in enumerate_hilbert(6, cap=6)]
+    def test_same_as_backtracking_at_six(self, monkeypatch):
+        monkeypatch.setenv("HILBERT_SIZE_CAP", "6")
+        mine = [sum(A.arrow, ()) for A in enumerate_hilbert(6)]
         assert len(mine) == 95
         assert mine == backtracked_hilbert_classes(6)
 
@@ -325,12 +368,14 @@ class TestEnumerateHilbert:
         assert flats == sorted(flats)
 
     def test_cap(self, monkeypatch):
-        with pytest.raises(SizeLimitError):
-            enumerate_hilbert(6, cap=5)
+        monkeypatch.delenv("HILBERT_SIZE_CAP", raising=False)
+        with pytest.raises(SizeLimitError, match="size 6 exceeds enumeration cap 5"):
+            enumerate_hilbert(6)
         monkeypatch.setenv("HILBERT_SIZE_CAP", "3")
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(SizeLimitError, match="size 4 exceeds enumeration cap 3"):
             enumerate_hilbert(4)
-        assert len(enumerate_hilbert(4, cap=4)) == 6
+        monkeypatch.setenv("HILBERT_SIZE_CAP", "4")
+        assert len(enumerate_hilbert(4)) == 6
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-2"])
     def test_malformed_cap(self, monkeypatch, raw):
@@ -341,10 +386,10 @@ class TestEnumerateHilbert:
     def test_cap_above_measured_limit_refused_before_generation(
         self, monkeypatch, capsys
     ):
-        def refuse(n):
+        def refuse(*args):
             raise AssertionError("generation started")
 
-        monkeypatch.setattr(enumeration, "_class_tables", refuse)
+        monkeypatch.setattr(enumeration, "_closed_sets", refuse)
         monkeypatch.setenv("HILBERT_SIZE_CAP", "9")
         with pytest.raises(RangeError, match="at most 8"):
             enum_cap()
@@ -381,10 +426,10 @@ class TestEnumerateHilbert:
         one error line and nothing on stdout, before any size is
         generated."""
 
-        def refuse(n):
+        def refuse(*args):
             raise AssertionError("generation started")
 
-        monkeypatch.setattr(enumeration, "_class_tables", refuse)
+        monkeypatch.setattr(enumeration, "_closed_sets", refuse)
         monkeypatch.delenv("HILBERT_SIZE_CAP", raising=False)
         for n in (6, 8):
             assert cli.main(["verify", "--enumerate", str(n)]) == 1
@@ -399,9 +444,9 @@ class TestEnumerateHilbert:
         first, second = enumerate_hilbert(4), enumerate_hilbert(4)
         assert first is not second
         assert all(A is not B and A.arrow == B.arrow for A, B in zip(first, second))
-        before = [_class_tables(n) for n in range(1, 6)]
-        assert [_class_tables(n) for n in range(1, 6)] == before
-        assert _class_tables(5) is not before[-1]
+        before = [_seeded_tables(n) for n in range(1, 6)]
+        assert [_seeded_tables(n) for n in range(1, 6)] == before
+        assert _seeded_tables(5)[5] is not before[-1][5]
 
 
 class TestPosets:

@@ -19,7 +19,7 @@ from hilbertalg import (
     theta,
 )
 from hilbertalg.core import bit, iter_bits
-from hilbertalg.errors import PreconditionError, SizeLimitError
+from hilbertalg.errors import PreconditionError, RangeError, SizeLimitError
 from hilbertalg.filters import _class_leaders, _count_filters, _fg_with, _separate
 from oracles import (
     capped_fan,
@@ -89,6 +89,11 @@ class TestIsImplicativeFilter:
     def test_missing_top(self, chain3):
         assert not is_implicative_filter(chain3, subset_of([1]))
 
+    @pytest.mark.parametrize("S", [-1, 1 << 4, 1 << 9])
+    def test_mask_outside_the_universe(self, S):
+        with pytest.raises(RangeError, match="not inside the universe"):
+            is_implicative_filter(chain_algebra(3), S)
+
 
 class TestFgClosure:
     def test_principal(self, chain3):
@@ -101,6 +106,11 @@ class TestFgClosure:
 
     def test_fork_two_generators(self, fork):
         assert fg_closure(fork, subset_of([0, 1])) == subset_of([0, 1, 2])
+
+    @pytest.mark.parametrize("X", [-1, 1 << 4, 1 << 9])
+    def test_mask_outside_the_universe(self, X):
+        with pytest.raises(RangeError, match="not inside the universe"):
+            fg_closure(chain_algebra(3), X)
 
     def test_same_as_the_definition(self, oracle_set):
         """fg_closure and is_implicative_filter, which fold the deduction
@@ -304,6 +314,22 @@ class TestSeparate:
     def test_precondition(self, chain3):
         with pytest.raises(PreconditionError):
             separate(chain3, subset_of([1, 2]), 1)
+
+    @pytest.mark.parametrize(
+        "F, a, message",
+        [
+            (-1, 0, "mask -0x1 not inside"),
+            (1 << 9, 0, "mask 0x200 not inside"),
+            (1, -1, "element index -1 out of range"),
+            (1, 4, "element index 4 out of range"),
+            (1, 9, "element index 9 out of range"),
+        ],
+    )
+    def test_outside_the_universe(self, F, a, message):
+        """A mask or an element outside chain_algebra(3) raises RangeError,
+        before the filter is blamed."""
+        with pytest.raises(RangeError, match=message):
+            separate(chain_algebra(3), F, a)
 
     def test_soundness_exhaustive(self):
         for n in range(1, 5):

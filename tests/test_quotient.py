@@ -16,7 +16,7 @@ from hilbertalg import (
     theta,
     validate,
 )
-from hilbertalg.errors import InternalInvariantError, NotAFilterError
+from hilbertalg.errors import InternalInvariantError, NotAFilterError, RangeError
 from hilbertalg.quotient import _assert_congruence
 from oracles import theta_by_cells
 
@@ -38,6 +38,11 @@ class TestTheta:
     def test_not_a_filter(self, chain3):
         with pytest.raises(NotAFilterError):
             theta(chain3, subset_of([0, 2]))
+
+    @pytest.mark.parametrize("F", [-1, 1 << 4, 1 << 9])
+    def test_mask_outside_the_universe(self, F):
+        with pytest.raises(RangeError, match="not inside the universe"):
+            theta(chain_algebra(3), F)
 
     def test_same_as_cell_by_cell_theta(self):
         """On every filter of the algebras with <= 5 elements and of the
@@ -138,6 +143,11 @@ class TestCompatibilityCheck:
 
 
 class TestQuotient:
+    @pytest.mark.parametrize("F", [-1, 1 << 4, 1 << 9])
+    def test_mask_outside_the_universe(self, F):
+        with pytest.raises(RangeError, match="not inside the universe"):
+            quotient(chain_algebra(3), F)
+
     def test_collapse_to_a2(self, chain3, a2):
         q = quotient(chain3, subset_of([1, 2]))
         assert q.algebra.size == 2
