@@ -224,10 +224,11 @@ class TestEnumerateHilbert:
                     )
                     assert _closed_sets(_down_sets(down), n) == expected, (n, down)
 
-    def test_generation_keeps_no_poset_codes(self):
+    def test_generation_keeps_no_poset_codes(self, monkeypatch):
         """enumerate_hilbert walks its own poset levels: it leaves the
         _class_codes cache that all_posets fills empty, and its output
         does not depend on whether that cache was filled before."""
+        monkeypatch.setenv("HILBERT_SIZE_CAP", "5")
         _class_codes.cache_clear()
         cold = [sum(A.arrow, ()) for A in enumerate_hilbert(5)]
         assert _class_codes.cache_info().currsize == 0
@@ -272,10 +273,11 @@ class TestEnumerateHilbert:
     def test_grown_tables_are_algebras_with_the_seed_below(self):
         """Every table _grow yields is a Hilbert algebra with n-2 minimal
         and the seed on the other elements, and no table comes twice."""
+        levels = class_tables(5)
         for n in range(2, 7):
             m = n - 1
             labels = list(range(m - 1)) + [n - 1]
-            for B in class_tables(m)[m]:
+            for B in levels[m]:
                 grown = list(_grow(B, m))
                 assert len(set(grown)) == len(grown)
                 for flat in grown:
