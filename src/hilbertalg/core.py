@@ -1,4 +1,4 @@
-"""Finite Hilbert algebras: tables, validation, terms, subuniverses, isomorphism.
+"""Finite Hilbert algebras: tables, validation, terms and identities.
 
 Elements are indices 0..n-1.  Subsets of the universe are plain int bit
 masks (bit i set <=> element i in the subset), which keeps filters and
@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from itertools import permutations, product
+from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -399,59 +399,7 @@ def satisfies_identity(A: FiniteHilbertAlgebra, t: Term):
 
 
 # ---------------------------------------------------------------------------
-# subuniverses and isomorphisms
-
-
-def generated_subuniverse(A: FiniteHilbertAlgebra, X: int) -> int:
-    """Least subset containing X and 1 that is closed under ->.
-
-    Each element x that joins is paired, both ways, only with the
-    members that joined before it and with itself: every pair is
-    computed once.
-    """
-    _check_mask(A, X)
-    arrow = A.arrow
-    closed = bit(A.top)
-    members = [A.top]
-    for a in iter_bits(X):
-        if not closed >> a & 1:
-            closed |= 1 << a
-            members.append(a)
-    done = 0
-    while done < len(members):
-        x = members[done]
-        row = arrow[x]
-        done += 1
-        for y in members[:done]:
-            for v in (row[y], arrow[y][x]):
-                if not closed >> v & 1:
-                    closed |= 1 << v
-                    members.append(v)
-    return closed
-
-
-def find_isomorphism(A: FiniteHilbertAlgebra, B: FiniteHilbertAlgebra):
-    """A permutation h with h(a -> b) = h(a) -> h(b), or None.
-
-    Exhaustive over permutations mapping top to top; fine at desk scale.
-    """
-    if A.size != B.size:
-        return None
-    n = A.size
-    rest_a = [x for x in range(n) if x != A.top]
-    rest_b = [y for y in range(n) if y != B.top]
-    for images in permutations(rest_b):
-        h = [0] * n
-        h[A.top] = B.top
-        for x, y in zip(rest_a, images):
-            h[x] = y
-        if all(
-            h[A.arrow[a][b]] == B.arrow[h[a]][h[b]]
-            for a in range(n)
-            for b in range(n)
-        ):
-            return tuple(h)
-    return None
+# standard algebras
 
 
 def chain_algebra(m: int) -> FiniteHilbertAlgebra:
@@ -459,6 +407,8 @@ def chain_algebra(m: int) -> FiniteHilbertAlgebra:
     if m < 1:
         raise RangeError("chain_algebra needs at least one non-top element")
     n = m + 1
+    if n > MAX_UNIVERSE:  # refused before building the n x n table
+        raise SizeLimitError(f"universe size {n} exceeds cap {MAX_UNIVERSE}")
     table = [[n - 1 if i <= j else j for j in range(n)] for i in range(n)]
     return FiniteHilbertAlgebra.from_table(table)
 

@@ -39,9 +39,9 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, compress, permutations
 from operator import itemgetter
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .core import FiniteHilbertAlgebra, _Frozen, bit, iter_bits, subset_of
+from .core import MAX_UNIVERSE, FiniteHilbertAlgebra, _Frozen, bit, iter_bits, subset_of
 from .errors import RangeError, SizeLimitError
 
 DEFAULT_ENUM_CAP = 5
@@ -126,7 +126,7 @@ class Poset(_Frozen):
         return max(best, default=0)
 
 
-def _closed_masks(principal) -> List[int]:
+def _closed_masks(principal, cap: Optional[int] = None) -> List[int]:
     """Masks m, ascending, with principal[x] inside m for every x in m,
     where principal[x] is the principal down-set (or up-set) of x in a
     poset.
@@ -140,11 +140,17 @@ def _closed_masks(principal) -> List[int]:
     yet decided.  So a point left out stays out, every closed set comes
     from exactly one sequence of choices (take x exactly when x is in
     it), and no set is listed twice.
+
+    Given a cap, SizeLimitError is raised once more than cap sets are
+    listed.  The list only grows, so that happens exactly when there are
+    more than cap closed sets, and before the rest are listed.
     """
     masks = [0]
     for x in sorted(range(len(principal)), key=lambda x: -principal[x].bit_count()):
         p = principal[x]
         masks += [m | p for m in masks if not m >> x & 1]
+        if cap is not None and len(masks) > cap:
+            raise SizeLimitError(f"more than {cap} closed sets: universe size exceeds cap {cap}")
     return sorted(masks)
 
 
@@ -388,15 +394,6 @@ class HeytingAlgebra(_Frozen):
             poset=poset, carrier=carrier, arrow=arrow, top=top, bottom=bottom
         )
 
-    def index_of(self, mask: int) -> int:
-        return self.carrier.index(mask)
-
-    def meet(self, i: int, j: int) -> int:
-        return self.index_of(self.carrier[i] & self.carrier[j])
-
-    def join(self, i: int, j: int) -> int:
-        return self.index_of(self.carrier[i] | self.carrier[j])
-
 
 def heyting_from_poset(P: Poset) -> Tuple[HeytingAlgebra, FiniteHilbertAlgebra]:
     """The upset algebra of P and its implication reduct.
@@ -405,10 +402,12 @@ def heyting_from_poset(P: Poset) -> Tuple[HeytingAlgebra, FiniteHilbertAlgebra]:
     not below any point of U - V: P minus the down-set of U - V.  Each
     cell ORs the principal down-sets of U - V, computed once, so the cost
     is polynomial in the points and the up-sets (a k-chain has k + 1).
+    A poset with more than MAX_UNIVERSE up-sets is refused while they are
+    listed, before any cell is filled.
     """
     ups = [P.upset_mask(x) for x in range(P.size)]
     downs = _up_masks(ups)
-    carrier = _closed_masks(ups)
+    carrier = _closed_masks(ups, MAX_UNIVERSE)
     index = {mask: i for i, mask in enumerate(carrier)}
     k = len(carrier)
     full = (1 << P.size) - 1

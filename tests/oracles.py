@@ -418,8 +418,9 @@ def product(A: FiniteHilbertAlgebra, B: FiniteHilbertAlgebra) -> FiniteHilbertAl
 
 
 def closure_by_rounds(A: FiniteHilbertAlgebra, X: int) -> int:
-    """generated_subuniverse as a fixpoint: apply -> to every pair of
-    members until a whole round adds nothing."""
+    """The least subset containing X and 1 that is closed under ->, as a
+    fixpoint: apply -> to every pair of members until a whole round adds
+    nothing."""
     closed = X | bit(A.top)
     changed = True
     while changed:
@@ -432,6 +433,34 @@ def closure_by_rounds(A: FiniteHilbertAlgebra, X: int) -> int:
                     closed |= bit(row[b])
                     changed = True
     return closed
+
+
+# ---------------------------------------------------------------------------
+# isomorphism
+
+
+def find_isomorphism(A: FiniteHilbertAlgebra, B: FiniteHilbertAlgebra):
+    """A permutation h with h(a -> b) = h(a) -> h(b), or None.
+
+    Exhaustive over the (n-1)! permutations mapping top to top.
+    """
+    if A.size != B.size:
+        return None
+    n = A.size
+    rest_a = [x for x in range(n) if x != A.top]
+    rest_b = [y for y in range(n) if y != B.top]
+    for images in permutations(rest_b):
+        h = [0] * n
+        h[A.top] = B.top
+        for x, y in zip(rest_a, images):
+            h[x] = y
+        if all(
+            h[A.arrow[a][b]] == B.arrow[h[a]][h[b]]
+            for a in range(n)
+            for b in range(n)
+        ):
+            return tuple(h)
+    return None
 
 
 # ---------------------------------------------------------------------------

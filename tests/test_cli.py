@@ -6,7 +6,6 @@ import pytest
 from hilbertalg import (
     all_posets,
     enumerate_hilbert,
-    find_isomorphism,
     heyting_from_poset,
     meet_irreducibles,
     validate,
@@ -16,7 +15,7 @@ from hilbertalg.cli import FILTER_LIST_LIMIT, NMAX_LIMIT, main
 from hilbertalg.core import mask_str
 from hilbertalg.files import dump_algebra, load_algebra, parse_algebra_text
 from hilbertalg.errors import AlgebraFileError
-from oracles import covers_by_scan, fan, lattice_by_extension
+from oracles import covers_by_scan, fan, find_isomorphism, lattice_by_extension
 
 CHAIN3 = {"size": 3, "arrow": [[2, 2, 2], [0, 2, 2], [0, 1, 2]], "names": ["0", "a", "1"]}
 FORK = {"size": 3, "arrow": [[2, 1, 2], [0, 2, 2], [0, 1, 2]], "names": ["x", "y", "1"]}

@@ -27,13 +27,11 @@ from hilbertalg import (
     chain_algebra,
     d_term,
     eval_term,
-    find_isomorphism,
-    generated_subuniverse,
     satisfies_identity,
     subset_of,
     validate,
 )
-from hilbertalg.core import ValidationReport, iter_bits, mask_str
+from hilbertalg.core import MAX_UNIVERSE, ValidationReport, iter_bits, mask_str
 from hilbertalg.depth_terms import (
     ChainWitness,
     DepthReport,
@@ -61,6 +59,7 @@ from hilbertalg.quotient import Congruence, QuotientResult
 from oracles import (
     closure_by_rounds,
     fan,
+    find_isomorphism,
     satisfies_identity_by_eval_term,
     validate_by_cells,
 )
@@ -251,65 +250,28 @@ class TestSatisfiesIdentity:
 
 
 class TestGeneratedSubuniverse:
+    """The closure_by_rounds oracle, which the witness tests use to check
+    that a subuniverse is closed, on small examples and the closure laws."""
+
     def test_chain_examples(self, chain3):
-        assert generated_subuniverse(chain3, subset_of([0, 1])) == subset_of([0, 1, 2])
+        assert closure_by_rounds(chain3, subset_of([0, 1])) == subset_of([0, 1, 2])
 
     def test_empty_generates_top(self, chain3, fork):
         for A in (chain3, fork):
-            assert generated_subuniverse(A, 0) == subset_of([A.top])
+            assert closure_by_rounds(A, 0) == subset_of([A.top])
 
     def test_fork_single_generator(self, fork):
-        assert generated_subuniverse(fork, subset_of([0])) == subset_of([0, 2])
+        assert closure_by_rounds(fork, subset_of([0])) == subset_of([0, 2])
 
     def test_closure_operator_laws(self, fork):
         U = fork.universe_mask()
         for X in range(U + 1):
-            cx = generated_subuniverse(fork, X)
+            cx = closure_by_rounds(fork, X)
             assert X & cx == X
-            assert generated_subuniverse(fork, cx) == cx
+            assert closure_by_rounds(fork, cx) == cx
             for Y in range(U + 1):
                 if X & Y == X:
-                    assert cx & generated_subuniverse(fork, Y) == cx
-
-    def test_same_as_rounds_on_every_subset(self):
-        for n in range(1, 6):
-            for A in enumerate_hilbert(n):
-                for X in range(A.universe_mask() + 1):
-                    assert generated_subuniverse(A, X) == closure_by_rounds(A, X)
-
-    def test_same_as_rounds_on_poset_reducts(self):
-        for k in range(5):
-            for P in all_posets(k, up_to_iso=True):
-                _, U = heyting_from_poset(P)
-                for a, b in itertools.combinations(range(U.size), 2):
-                    X = subset_of([a, b])
-                    assert generated_subuniverse(U, X) == closure_by_rounds(U, X)
-
-
-    @pytest.mark.parametrize("X", [-1, 1 << 4, 1 << 10])
-    def test_mask_outside_the_universe(self, X):
-        """A mask with bits outside chain_algebra(3) raises RangeError.
-        It runs in a subprocess with a timeout: iter_bits of a negative
-        mask never ends, so without the check this test would hang."""
-        code = (
-            "import sys\n"
-            "sys.path.insert(0, sys.argv[1])\n"
-            "from hilbertalg import chain_algebra, generated_subuniverse\n"
-            "from hilbertalg.errors import RangeError\n"
-            "try:\n"
-            "    generated_subuniverse(chain_algebra(3), int(sys.argv[2]))\n"
-            "except RangeError as exc:\n"
-            "    print(exc)\n"
-        )
-        src = str(Path(hilbertalg.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", code, src, str(X)],
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
-        assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout == f"mask {X:#x} not inside the universe [0,4)\n"
+                    assert cx & closure_by_rounds(fork, Y) == cx
 
 
 class TestIsomorphism:
@@ -351,6 +313,40 @@ class TestChainAlgebra:
     def test_needs_one_element(self):
         with pytest.raises(RangeError):
             chain_algebra(0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "heyting_from_poset(Poset(40, tuple(tuple(a == b for b in range(40)) for a in range(40))))",
+        "chain_algebra(10**6)",
+    ],
+    ids=["antichain-40", "chain-10**6"],
+)
+def test_refused_past_the_cap_before_the_table(call):
+    """An algebra with more than MAX_UNIVERSE elements raises
+    SizeLimitError before its table is built.  Building the table first
+    took about 10 s on a 12-point antichain and did not end on 16 points,
+    so the call runs in a subprocess with a timeout."""
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from hilbertalg import Poset, chain_algebra, heyting_from_poset\n"
+        "from hilbertalg.errors import SizeLimitError\n"
+        "try:\n"
+        f"    {call}\n"
+        "except SizeLimitError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(hilbertalg.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code, src],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.endswith(f"exceeds cap {MAX_UNIVERSE}\n")
 
 
 def test_mask_helpers():
@@ -657,6 +653,14 @@ def test_reimport_frees_previous_modules():
         timeout=120,
     )
     assert int(out.stdout) <= 2
+
+
+def test_public_names_resolve():
+    """Every entry of hilbertalg.__all__ is an attribute of the package,
+    and none is listed twice, so `from hilbertalg import *` works."""
+    names = hilbertalg.__all__
+    assert [name for name in names if not hasattr(hilbertalg, name)] == []
+    assert len(set(names)) == len(names)
 
 
 def test_benchmark_traced_names_resolve():

@@ -29,12 +29,13 @@ from hilbertalg import (
     verify_main_theorem,
 )
 from hilbertalg import filters
-from hilbertalg.core import bit, generated_subuniverse, iter_bits
+from hilbertalg.core import bit
 from hilbertalg.cli import main
 from hilbertalg.errors import PreconditionError, RangeError, UnboundVariableError
 from oracles import (
     capped_fan,
     chain_by_correspondence,
+    closure_by_rounds,
     failure_sets_by_definition,
     fan,
     g_table_by_cells,
@@ -217,7 +218,7 @@ class TestDepthIsEquational:
         depths = [depth(A) for A in algebras]
         subuniverses = quotients = 0
         for A, d in zip(algebras, depths):
-            for S in {generated_subuniverse(A, X) for X in range(1 << A.size)}:
+            for S in {closure_by_rounds(A, X) for X in range(1 << A.size)}:
                 assert depth(subalgebra(A, S)) <= d, (A.arrow, S)
                 subuniverses += 1
             for F in all_filters(A).filters:
@@ -361,7 +362,7 @@ class TestSubalgebraFromChain:
                     for i in range(n + 1):
                         assert eval_term(A, d_term(i), es[: i + 1]) == es[i]
                     closed = subset_of(es) | bit(A.top)
-                    assert generated_subuniverse(A, closed) == closed
+                    assert closure_by_rounds(A, closed) == closed
                     assert eval_term(A, d_term(n), es) != A.top
 
 

@@ -11,7 +11,6 @@ from hilbertalg import (
     all_posets,
     depth,
     enumerate_hilbert,
-    find_isomorphism,
     heyting_from_poset,
     validate,
 )
@@ -42,6 +41,7 @@ from oracles import (
     closed_masks_by_filter,
     closed_subsets,
     closure_hilbert_classes,
+    find_isomorphism,
     heyting_by_cells,
     least_code_by_scan,
     posets_by_relabelling,
@@ -621,6 +621,14 @@ class TestHeytingFromPoset:
         assert reduct.size == len(heyting.carrier) == 64
         assert depth(reduct) == P.longest_chain() == 63
 
+    def test_six_point_antichain(self):
+        """A 6-point antichain has 64 up-sets, the largest carrier allowed:
+        its reduct is built, the Boolean algebra of depth 1."""
+        P = Poset(6, tuple(tuple(a == b for b in range(6)) for a in range(6)))
+        heyting, reduct = heyting_from_poset(P)
+        assert reduct.size == len(heyting.carrier) == 64
+        assert depth(reduct) == P.longest_chain() == 1
+
     def test_two_chain(self, chain3):
         P = Poset(2, ((True, True), (False, True)))
         _, reduct = heyting_from_poset(P)
@@ -632,10 +640,9 @@ class TestHeytingFromPoset:
         assert reduct.size == 4
         # complemented: every element has a complement
         for i in range(4):
+            U = heyting.carrier[i]
             assert any(
-                heyting.carrier[heyting.meet(i, j)] == 0
-                and heyting.carrier[heyting.join(i, j)] == heyting.carrier[-1]
-                for j in range(4)
+                U & V == 0 and U | V == heyting.carrier[-1] for V in heyting.carrier
             )
 
     def test_residuation_law(self):
@@ -645,7 +652,7 @@ class TestHeytingFromPoset:
             for a in range(k):
                 for b in range(k):
                     for c in range(k):
-                        meets = heyting.carrier[heyting.meet(a, b)]
+                        meets = heyting.carrier[a] & heyting.carrier[b]
                         arrow = heyting.carrier[heyting.arrow[b][c]]
                         assert (meets & ~heyting.carrier[c] == 0) == (
                             heyting.carrier[a] & ~arrow == 0

@@ -8,7 +8,6 @@ from hilbertalg import (
     chain_algebra,
     correspondence_check,
     enumerate_hilbert,
-    find_isomorphism,
     heyting_from_poset,
     meet_irreducibles,
     quotient,
@@ -18,7 +17,7 @@ from hilbertalg import (
 )
 from hilbertalg.errors import InternalInvariantError, NotAFilterError, RangeError
 from hilbertalg.quotient import _assert_congruence
-from oracles import theta_by_cells
+from oracles import find_isomorphism, theta_by_cells
 
 
 class TestTheta:
