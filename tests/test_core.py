@@ -326,10 +326,12 @@ class TestChainAlgebra:
 def test_refused_past_the_cap_before_the_table(call):
     """An algebra with more than MAX_UNIVERSE elements raises
     SizeLimitError before its table is built.  Building the table first
-    took about 10 s on a 12-point antichain and did not end on 16 points,
-    so the call runs in a subprocess with a timeout."""
+    took seconds on a 12-point antichain and would fill 4.3e9 cells on 16,
+    so the call runs in a subprocess with a timeout and a 1 GiB address
+    space: a regression fails instead of hanging or exhausting memory."""
     code = (
-        "import sys\n"
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "from hilbertalg import Poset, chain_algebra, heyting_from_poset\n"
         "from hilbertalg.errors import SizeLimitError\n"
