@@ -21,7 +21,7 @@ def hasse_covers(items: Sequence[int], above: Callable[[int], Iterable[int]]) ->
 def poset_dot(labels: Sequence[str], covers: Sequence[Tuple[int, int]], name: str = "poset") -> str:
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for i, label in enumerate(labels):
-        escaped = label.replace('"', '\\"')
+        escaped = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{i} [label="{escaped}"];')
     for i, j in covers:
         lines.append(f"  n{i} -> n{j};")

@@ -17,6 +17,8 @@ table, its members numbered in ascending order so that P is the top, is
 filed under its size and keyed by its canonical form (the
 lexicographically least table over the permutations fixing the top),
 once per distinct table; the classes come out in ascending order.
+_seeded_tables alone bounds the size: past _MAX_ENUM_CAP, the largest
+size measured to finish, it refuses before it builds any poset level.
 
 Posets are grown by a new maximal point and follow the orderly rule
 (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998):
@@ -34,7 +36,6 @@ all_posets build new, validated objects on every call.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, compress, permutations
@@ -44,31 +45,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .core import MAX_UNIVERSE, FiniteHilbertAlgebra, _Frozen, bit, iter_bits, subset_of
 from .errors import RangeError, SizeLimitError
 
-DEFAULT_ENUM_CAP = 5
-ENUM_CAP_ENV = "HILBERT_SIZE_CAP"
-# The largest size enumerate_hilbert is measured to finish: size 7 takes
+# The largest size the generator is measured to finish: size 7 takes
 # about 0.7 s and size 8 about 40 s, 4,933 tables keyed over 7!
 # relabellings each (Python 3.11, one core).  Size 9 would key each table
 # over 8! relabellings.
 _MAX_ENUM_CAP = 8
-
-
-def enum_cap() -> int:
-    raw = os.environ.get(ENUM_CAP_ENV)
-    if not raw:
-        return DEFAULT_ENUM_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0  # refused below, with the other values that are not positive
-    if cap < 1:
-        raise RangeError(f"{ENUM_CAP_ENV} must be a positive integer, got {raw!r}")
-    if cap > _MAX_ENUM_CAP:
-        raise RangeError(
-            f"{ENUM_CAP_ENV} must be at most {_MAX_ENUM_CAP}, the largest size "
-            f"the generator is measured to finish, got {raw!r}"
-        )
-    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +494,8 @@ def _seeded_tables(n: int) -> Dict[int, set]:
     m is the same for every n >= m.  Members are numbered in ascending
     order, so P is the top.  The poset classes are built here, a level at
     a time, not read from the _class_codes cache."""
+    if n > _MAX_ENUM_CAP:
+        raise SizeLimitError(f"size {n} exceeds enumeration cap {_MAX_ENUM_CAP}")
     tables = {m: set() for m in range(1, n + 1)}
     classes = _NO_POINTS
     for k in range(n):
@@ -541,10 +524,7 @@ def _algebras(n: int, tables) -> List[FiniteHilbertAlgebra]:
 
 def enumerate_hilbert(n: int) -> List[FiniteHilbertAlgebra]:
     """One representative per isomorphism class of n-element Hilbert
-    algebras, in ascending canonical-table order; refused past enum_cap()."""
+    algebras, in ascending canonical-table order; refused past _MAX_ENUM_CAP."""
     if n < 1:
         raise RangeError("size must be at least 1")
-    cap = enum_cap()
-    if n > cap:
-        raise SizeLimitError(f"size {n} exceeds enumeration cap {cap}")
     return _algebras(n, _seeded_tables(n)[n])

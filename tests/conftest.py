@@ -1,6 +1,6 @@
 import pytest
 
-from hilbertalg import FiniteHilbertAlgebra, chain_algebra, trivial_algebra
+from hilbertalg import FiniteHilbertAlgebra, chain_algebra, enumeration, trivial_algebra
 
 
 @pytest.fixture
@@ -24,3 +24,15 @@ def chain3():
 def fork():
     """Two incomparable elements x=0, y=1 below top=2."""
     return FiniteHilbertAlgebra.from_table([[2, 1, 2], [0, 2, 2], [0, 1, 2]])
+
+
+@pytest.fixture
+def refuse_generation(monkeypatch):
+    """Make building a poset level or closing a poset's up-sets fail the
+    test, so a refusal is shown to come before any generation."""
+
+    def refuse(*args):
+        raise AssertionError("generation started")
+
+    for name in ("_closed_sets", "_next_classes"):
+        monkeypatch.setattr(enumeration, name, refuse)

@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hilbertalg import (
+    all_filters,
     all_posets,
     enumerate_hilbert,
     heyting_from_poset,
@@ -126,11 +131,6 @@ class TestCheck:
         assert main(["check", algebra_file(doc)]) == 1
         assert "entry [0][0] = True" in capsys.readouterr().err
 
-    def test_malformed_size_cap(self, algebra_file, monkeypatch, capsys):
-        monkeypatch.setenv("HILBERT_SIZE_CAP", "abc")
-        assert main(["check", algebra_file(CHAIN3)]) == 2
-        assert "HILBERT_SIZE_CAP must be a positive integer" in capsys.readouterr().err
-
 
 class TestAnalyze:
     def test_fork(self, algebra_file, capsys):
@@ -166,6 +166,28 @@ class TestAnalyze:
         }
         spectrum = (tmp_path / "fork-spectrum.dot").read_text()
         assert re.findall(r"n\d+ -> n\d+;", spectrum) == []  # antichain
+
+    def test_dot_escapes_backslashes_and_quotes(self, algebra_file, tmp_path, capsys):
+        """Names holding \\ and " give labels that are DOT strings, each
+        unescaping to its filter's name; a name ending in \\ once escaped
+        the label's closing quote."""
+        names = ['a\\"', "b\\", '"c']
+        path = algebra_file(dict(FORK, names=names))
+        out_prefix = str(tmp_path / "named")
+        assert main(["analyze", path, "--dot", out_prefix]) == 0
+        A = load_algebra(path)
+        for suffix, masks in (
+            ("filters", all_filters(A).filters),
+            ("spectrum", meet_irreducibles(A).filters),
+        ):
+            lines = (tmp_path / f"named-{suffix}.dot").read_text().splitlines()
+            labels = [line for line in lines if "label=" in line]
+            assert len(labels) == len(masks)
+            for line, F in zip(labels, masks):
+                quoted = re.search(r'label=("(?:[^"\\]|\\.)*")\];$', line)
+                assert quoted, line
+                unescaped = re.sub(r"\\(.)", r"\1", quoted[1][1:-1])
+                assert unescaped == mask_str(F, names)
 
     def test_shape_and_covers_on_small_algebras(self, tmp_path, capsys):
         """analyze --spectrum --dot on every algebra with <= 5 elements and
@@ -301,20 +323,19 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "4 algebras checked, 16 (algebra,n) pairs, all agree" in out
 
-    def test_enumerate_six(self, monkeypatch, capsys):
-        monkeypatch.setenv("HILBERT_SIZE_CAP", "6")
+    def test_enumerate_six(self, capsys):
         assert main(["verify", "--enumerate", "6", "--nmax", "5"]) == 0
         out = capsys.readouterr().out
         assert "126 algebras checked, 756 (algebra,n) pairs, all agree" in out
 
-    @pytest.mark.parametrize("n", [6, 8])
-    def test_enumerate_past_the_cap(self, monkeypatch, capsys, n):
-        """The first size past the cap is refused, with nothing on stdout."""
-        monkeypatch.delenv("HILBERT_SIZE_CAP", raising=False)
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_enumerate_past_the_cap(self, refuse_generation, capsys, n):
+        """A size past the cap of 8 is refused by name, with nothing on
+        stdout."""
         assert main(["verify", "--enumerate", str(n)]) == 1
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == "error: size 6 exceeds enumeration cap 5\n"
+        assert out.err == f"error: size {n} exceeds enumeration cap 8\n"
 
     def test_single_chain(self, algebra_file, capsys):
         assert main(["verify", algebra_file(CHAIN3), "--nmax", "2"]) == 0
@@ -408,3 +429,66 @@ class TestEnumerate:
             path = tmp_path / "emitted.json"
             path.write_text(line)
             assert load_algebra(str(path)).arrow == A.arrow
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_size_below_one_is_usage_error(self, capsys, size):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", size])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == "hilbertalg: error: size must be at least 1"
+
+
+class TestEnvironment:
+    """HILBERT_SIZE_CAP is no longer read: no value of it changes what a
+    command prints or how it exits."""
+
+    def test_malformed_value_ignored(self, algebra_file, monkeypatch, capsys):
+        monkeypatch.setenv("HILBERT_SIZE_CAP", "abc")
+        assert main(["check", algebra_file(CHAIN3)]) == 0
+        assert capsys.readouterr() == ("valid Hilbert algebra, size 3\n", "")
+        assert main(["enumerate", "6"]) == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 95
+        assert err == "95 algebras of size 6\n"
+
+    def test_low_value_ignored(self, monkeypatch, capsys):
+        monkeypatch.setenv("HILBERT_SIZE_CAP", "3")
+        assert main(["enumerate", "4"]) == 0
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 6
+        assert err == "6 algebras of size 4\n"
+
+
+class TestEntryPoint:
+    """python -m hilbertalg.cli in a fresh process, through sys.exit(main())."""
+
+    @staticmethod
+    def run(*argv):
+        root = Path(__file__).resolve().parent.parent
+        env = {k: v for k, v in os.environ.items() if not k.startswith("HILBERT_")}
+        env["PYTHONPATH"] = "src"
+        return subprocess.run(
+            [sys.executable, "-m", "hilbertalg.cli", *argv],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    def test_verify_enumerate(self):
+        done = self.run("verify", "--enumerate", "5", "--nmax", "4")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines()[-1] == (
+            "31 algebras checked, 155 (algebra,n) pairs, all agree"
+        )
+
+    def test_past_the_cap(self):
+        done = self.run("enumerate", "9")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1,
+            "",
+            "error: size 9 exceeds enumeration cap 8\n",
+        )

@@ -29,7 +29,6 @@ from hilbertalg.enumeration import (
     _least_code,
     _seeded_tables,
     _table_relabellers,
-    enum_cap,
 )
 from hilbertalg.errors import RangeError, SizeLimitError
 from oracles import (
@@ -172,33 +171,29 @@ class TestEnumerateHilbert:
             mine = [A.arrow for A in enumerate_hilbert(n)]
             assert mine == [A.arrow for A in scanned_hilbert_classes(n)], n
 
-    def test_same_as_closure_generator(self, monkeypatch):
-        monkeypatch.setenv("HILBERT_SIZE_CAP", "6")
+    def test_same_as_closure_generator(self):
         for n in range(1, 7):
             mine = [A.arrow for A in enumerate_hilbert(n)]
             assert mine == [A.arrow for A in closure_hilbert_classes(n)], n
 
     @pytest.mark.slow
-    def test_same_as_closure_generator_at_seven(self, monkeypatch):
-        monkeypatch.setenv("HILBERT_SIZE_CAP", "7")
+    def test_same_as_closure_generator_at_seven(self):
         mine = [A.arrow for A in enumerate_hilbert(7)]
         assert len(mine) == 550
         assert mine == [A.arrow for A in closure_hilbert_classes(7)]
 
-    def test_same_as_minimal_element_growth(self, monkeypatch):
+    def test_same_as_minimal_element_growth(self):
         """The whole output for n <= 7, order included, against growth by
         one new minimal element, which shares only _canonical with the
         seeded search."""
-        monkeypatch.setenv("HILBERT_SIZE_CAP", "7")
         levels = _table_levels(7)
         for n in range(1, 8):
             mine = [sum(A.arrow, ()) for A in enumerate_hilbert(n)]
             assert mine == list(levels[n - 1]), n
 
     @pytest.mark.slow
-    def test_same_as_minimal_element_growth_at_eight(self, monkeypatch):
+    def test_same_as_minimal_element_growth_at_eight(self):
         """4,036 classes at size 8, order included, by both generators."""
-        monkeypatch.setenv("HILBERT_SIZE_CAP", "8")
         mine = [sum(A.arrow, ()) for A in enumerate_hilbert(8)]
         assert len(mine) == 4036
         assert mine == list(_table_levels(8)[-1])
@@ -224,11 +219,10 @@ class TestEnumerateHilbert:
                     )
                     assert _closed_sets(_down_sets(down), n) == expected, (n, down)
 
-    def test_generation_keeps_no_poset_codes(self, monkeypatch):
+    def test_generation_keeps_no_poset_codes(self):
         """enumerate_hilbert walks its own poset levels: it leaves the
         _class_codes cache that all_posets fills empty, and its output
         does not depend on whether that cache was filled before."""
-        monkeypatch.setenv("HILBERT_SIZE_CAP", "5")
         _class_codes.cache_clear()
         cold = [sum(A.arrow, ()) for A in enumerate_hilbert(5)]
         assert _class_codes.cache_info().currsize == 0
@@ -264,7 +258,6 @@ class TestEnumerateHilbert:
                 return original(*args)
 
             monkeypatch.setattr(enumeration, name, counted)
-        monkeypatch.delenv("HILBERT_SIZE_CAP", raising=False)
         assert cli.main(["verify", "--enumerate", "5"]) == 0
         last = capsys.readouterr().out.splitlines()[-1]
         assert last == "31 algebras checked, 155 (algebra,n) pairs, all agree"
@@ -335,8 +328,7 @@ class TestEnumerateHilbert:
                 ), (n, flat)
 
     @pytest.mark.slow
-    def test_same_as_backtracking_at_six(self, monkeypatch):
-        monkeypatch.setenv("HILBERT_SIZE_CAP", "6")
+    def test_same_as_backtracking_at_six(self):
         mine = [sum(A.arrow, ()) for A in enumerate_hilbert(6)]
         assert len(mine) == 95
         assert mine == backtracked_hilbert_classes(6)
@@ -369,41 +361,23 @@ class TestEnumerateHilbert:
         flats = [sum(arrow, ()) for arrow in first]
         assert flats == sorted(flats)
 
-    def test_cap(self, monkeypatch):
-        monkeypatch.delenv("HILBERT_SIZE_CAP", raising=False)
-        with pytest.raises(SizeLimitError, match="size 6 exceeds enumeration cap 5"):
-            enumerate_hilbert(6)
-        monkeypatch.setenv("HILBERT_SIZE_CAP", "3")
-        with pytest.raises(SizeLimitError, match="size 4 exceeds enumeration cap 3"):
-            enumerate_hilbert(4)
-        monkeypatch.setenv("HILBERT_SIZE_CAP", "4")
-        assert len(enumerate_hilbert(4)) == 6
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-2"])
-    def test_malformed_cap(self, monkeypatch, raw):
-        monkeypatch.setenv("HILBERT_SIZE_CAP", raw)
-        with pytest.raises(RangeError):
-            enumerate_hilbert(3)
+    def test_cap(self, refuse_generation):
+        """Sizes past _MAX_ENUM_CAP = 8 are refused by name."""
+        assert enumeration._MAX_ENUM_CAP == 8
+        for n in (9, 12):
+            with pytest.raises(SizeLimitError, match=f"^size {n} exceeds enumeration cap 8$"):
+                enumerate_hilbert(n)
+            with pytest.raises(SizeLimitError, match=f"^size {n} exceeds enumeration cap 8$"):
+                _seeded_tables(n)
 
     def test_cap_above_measured_limit_refused_before_generation(
-        self, monkeypatch, capsys
+        self, refuse_generation, capsys
     ):
-        def refuse(*args):
-            raise AssertionError("generation started")
-
-        monkeypatch.setattr(enumeration, "_closed_sets", refuse)
-        monkeypatch.setenv("HILBERT_SIZE_CAP", "9")
-        with pytest.raises(RangeError, match="at most 8"):
-            enum_cap()
-        with pytest.raises(RangeError, match="at most 8"):
-            enumerate_hilbert(3)
-        assert cli.main(["enumerate", "9"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: HILBERT_SIZE_CAP must be at most 8")
-        assert err.count("\n") == 1
-        monkeypatch.setenv("HILBERT_SIZE_CAP", "8")
-        assert enum_cap() == 8
+        """enumerate N past the cap prints one error line, nothing on
+        stdout, and exits 1 before any poset level is built."""
+        for n in (9, 12):
+            assert cli.main(["enumerate", str(n)]) == 1
+            assert capsys.readouterr() == ("", f"error: size {n} exceeds enumeration cap 8\n")
 
     def test_benchmark_corpus_check(self):
         """The benchmark's corpus pins digests of enumerate_hilbert(n),
@@ -422,23 +396,13 @@ class TestEnumerateHilbert:
             enumerate_hilbert(0)
 
     def test_verify_enumerate_refuses_past_the_cap_before_generation(
-        self, monkeypatch, capsys
+        self, refuse_generation, capsys
     ):
-        """verify --enumerate N refuses the first size past the cap, with
-        one error line and nothing on stdout, before any size is
-        generated."""
-
-        def refuse(*args):
-            raise AssertionError("generation started")
-
-        monkeypatch.setattr(enumeration, "_closed_sets", refuse)
-        monkeypatch.delenv("HILBERT_SIZE_CAP", raising=False)
-        for n in (6, 8):
+        """verify --enumerate N past the cap names N, with one error line
+        and nothing on stdout, before any size is generated."""
+        for n in (9, 12):
             assert cli.main(["verify", "--enumerate", str(n)]) == 1
-            assert capsys.readouterr() == ("", "error: size 6 exceeds enumeration cap 5\n")
-        monkeypatch.setenv("HILBERT_SIZE_CAP", "3")
-        assert cli.main(["verify", "--enumerate", "7"]) == 1
-        assert capsys.readouterr() == ("", "error: size 4 exceeds enumeration cap 3\n")
+            assert capsys.readouterr() == ("", f"error: size {n} exceeds enumeration cap 8\n")
 
     def test_new_objects_on_every_call(self):
         """Each call builds its tables and algebras afresh, with equal
