@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -462,7 +463,10 @@ class TestEnvironment:
 
 
 class TestEntryPoint:
-    """python -m hilbertalg.cli in a fresh process, through sys.exit(main())."""
+    """python -m hilbertalg.cli in a fresh process, through sys.exit(main()).
+    The process gets a 60 s timeout and a 1 GiB address space, so a size
+    refusal that regressed into generation fails instead of hanging or
+    exhausting memory."""
 
     @staticmethod
     def run(*argv):
@@ -476,6 +480,7 @@ class TestEntryPoint:
             capture_output=True,
             text=True,
             timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
         )
 
     def test_verify_enumerate(self):
