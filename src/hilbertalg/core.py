@@ -330,10 +330,6 @@ class FiniteHilbertAlgebra(_Frozen):
     def universe_mask(self) -> int:
         return (1 << self.size) - 1
 
-    def upset_mask(self, a: int) -> int:
-        """Principal upset of a, as a mask."""
-        return subset_of(b for b in range(self.size) if self.leq(a, b))
-
     def element_named(self, label: str) -> int:
         if self.names is not None and label in self.names:
             return self.names.index(label)
@@ -411,7 +407,3 @@ def chain_algebra(m: int) -> FiniteHilbertAlgebra:
         raise SizeLimitError(f"universe size {n} exceeds cap {MAX_UNIVERSE}")
     table = [[n - 1 if i <= j else j for j in range(n)] for i in range(n)]
     return FiniteHilbertAlgebra.from_table(table)
-
-
-def trivial_algebra() -> FiniteHilbertAlgebra:
-    return FiniteHilbertAlgebra.from_table([[0]])

@@ -62,22 +62,18 @@ def d_term(n: int) -> Term:
 # n; each decision then costs O(n*|A|) against |A|^(n+1).
 
 
-def _g(arrow, v: int, x: int) -> int:
-    """One step of the recurrence d_{k+1} = g(d_k, x_{k+1})."""
-    return arrow[arrow[arrow[x][v]][x]][x]
-
-
 def _d_values(A: FiniteHilbertAlgebra, assignment: Sequence[int], n: int) -> list:
-    """The values of d_0..d_n under an assignment, by folding g over
-    x_1..x_n."""
+    """The values of d_0..d_n under an assignment, by folding x_1..x_n
+    through the g table of A's ladder (built on first use)."""
     n = max(n, 0)  # d_term(n) is x0 for every n <= 0
     if len(assignment) <= n:
         raise UnboundVariableError(
             f"x{n} unbound in assignment of length {len(assignment)}"
         )
+    g = A._d_ladder[0]
     values = [assignment[0]]
     for x in assignment[1 : n + 1]:
-        values.append(_g(A.arrow, values[-1], x))
+        values.append(g[values[-1]][x])
     return values
 
 

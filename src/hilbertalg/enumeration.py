@@ -98,13 +98,10 @@ class Poset(_Frozen):
         return sum(bit(y) for y in range(self.size) if self.leq[x][y])
 
     def longest_chain(self) -> int:
-        """Maximum number of elements in a chain; 0 for the empty poset."""
-        best = [0] * self.size
-        order = sorted(range(self.size), key=lambda x: sum(self.leq[y][x] for y in range(self.size)))
-        for x in order:
-            below = [best[y] for y in range(self.size) if self.leq[y][x] and y != x]
-            best[x] = 1 + max(below, default=0)
-        return max(best, default=0)
+        """Maximum number of elements in a chain, 0 for the empty poset:
+        the longest chain of principal down-sets (the columns of leq)."""
+        downs = [subset_of(compress(range(self.size), col)) for col in zip(*self.leq)]
+        return _longest_chain(sorted(downs, key=int.bit_count))
 
 
 def _closed_masks(principal, cap: Optional[int] = None) -> List[int]:
@@ -133,6 +130,15 @@ def _closed_masks(principal, cap: Optional[int] = None) -> List[int]:
         if cap is not None and len(masks) > cap:
             raise SizeLimitError(f"more than {cap} closed sets: universe size exceeds cap {cap}")
     return sorted(masks)
+
+
+def _longest_chain(sets: Sequence[int]) -> int:
+    """Most members of a chain under inclusion among distinct masks given
+    in ascending popcount, so each set's subsets come first; 0 for none."""
+    best = []
+    for F in sets:
+        best.append(1 + max((b for G, b in zip(sets, best) if G & F == G), default=0))
+    return max(best, default=0)
 
 
 def _picker(indices) -> Callable[[Sequence], tuple]:

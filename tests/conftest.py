@@ -1,11 +1,12 @@
 import pytest
 
-from hilbertalg import FiniteHilbertAlgebra, chain_algebra, enumeration, trivial_algebra
+from hilbertalg import FiniteHilbertAlgebra, chain_algebra, enumeration
 
 
 @pytest.fixture
 def trivial():
-    return trivial_algebra()
+    """The one-element algebra, depth 0."""
+    return FiniteHilbertAlgebra.from_table([[0]])
 
 
 @pytest.fixture

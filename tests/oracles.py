@@ -1,5 +1,5 @@
 """Slow reference implementations that the tests compare the library
-against, and the fan algebras.  Nothing in `src` calls these."""
+against, and the fan and 2-chain algebras.  Nothing in `src` calls these."""
 
 from functools import reduce
 import itertools
@@ -14,6 +14,7 @@ from hilbertalg import (
     eval_term,
     fg_closure,
     heyting_from_poset,
+    meet_irreducibles,
     quotient,
     separate,
 )
@@ -27,7 +28,6 @@ from hilbertalg.core import (
     subset_of,
     term_width,
 )
-from hilbertalg.depth_terms import _d_values, _g
 from hilbertalg.enumeration import (
     Poset,
     _canonical,
@@ -63,6 +63,29 @@ def capped_fan(m: int) -> FiniteHilbertAlgebra:
 
     return FiniteHilbertAlgebra.from_table(
         [[arrow(x, y) for y in range(m + 2)] for x in range(m + 2)]
+    )
+
+
+def two_chains(m: int) -> FiniteHilbertAlgebra:
+    """The poset P of m disjoint 2-chains 2i < 2i+1, and its co-principal
+    up-sets, closed under U -> V = P - down(U - V), numbered in ascending
+    order of mask, so P is the top.  It has 2m + 1 elements, spectrum P
+    and 3^m filters, and _count_filters memoises 2^(m+1) - 1 states."""
+    full = (1 << 2 * m) - 1
+    down = [bit(x) | (bit(x - 1) if x % 2 else 0) for x in range(2 * m)]
+
+    def arrow(U, V):
+        return full & ~reduce(int.__or__, (down[x] for x in iter_bits(U & ~V)), 0)
+
+    members = {full} | {full & ~d for d in down}
+    grown = members
+    while grown:
+        grown = {arrow(U, V) for U in members for V in members} - members
+        members |= grown
+    members = sorted(members)
+    index = {U: i for i, U in enumerate(members)}
+    return FiniteHilbertAlgebra.from_table(
+        [[index[arrow(U, V)] for V in members] for U in members]
     )
 
 
@@ -118,6 +141,11 @@ def check_order_by_cells(n: int, leq) -> None:
 
 # ---------------------------------------------------------------------------
 # filter generation
+
+
+def upset_by_cells(A: FiniteHilbertAlgebra, a: int) -> int:
+    """The principal up-set of a, as a mask: every b with a <= b."""
+    return subset_of(b for b in range(A.size) if A.leq(a, b))
 
 
 def mp_closure(A: FiniteHilbertAlgebra, X: int) -> int:
@@ -205,6 +233,19 @@ def lattice_by_extension(A: FiniteHilbertAlgebra) -> FilterLattice:
                 found.add(G)
                 frontier.append(G)
     return FilterLattice(algebra=A, filters=_by_size(found))
+
+
+def depth_by_pairs(A: FiniteHilbertAlgebra) -> int:
+    """depth(A) by the longest chain of Spec(A), each filter scanned
+    against every other: best[F] = 1 + the largest best[G] over G < F."""
+    spectrum = meet_irreducibles(A).filters
+    best = {}
+    for F in spectrum:  # popcount order: subsets come first
+        best[F] = 1 + max(
+            (best[G] for G in spectrum if G != F and G & F == G),
+            default=0,
+        )
+    return max(best.values(), default=0)
 
 
 def join(A: FiniteHilbertAlgebra, F: int, G: int) -> int:
@@ -338,9 +379,9 @@ def chain_by_correspondence(A: FiniteHilbertAlgebra, assignment, n: int) -> tupl
     filters above F onto Fi(A/F)."""
     if n == 0:
         return (separate(A, bit(A.top), assignment[0]),)
-    b = _d_values(A, assignment, n - 1)[-1]
+    b = d_values_by_cells(A, assignment[:n])[-1]
     an = assignment[n]
-    F0 = separate(A, A.upset_mask(A.arrow[A.arrow[an][b]][an]), an)
+    F0 = separate(A, upset_by_cells(A, A.arrow[A.arrow[an][b]][an]), an)
     F = fg_closure(A, F0 | bit(an))
     q = quotient(A, F)
     sub = chain_by_correspondence(
@@ -356,10 +397,25 @@ def chain_by_correspondence(A: FiniteHilbertAlgebra, assignment, n: int) -> tupl
 # the d_n test
 
 
+def g_by_cells(A: FiniteHilbertAlgebra, v: int, x: int) -> int:
+    """g(v, x) = ((x -> v) -> x) -> x, one step of d_{k+1} = g(d_k, x_{k+1})."""
+    arrow = A.arrow
+    return arrow[arrow[arrow[x][v]][x]][x]
+
+
 def g_table_by_cells(A: FiniteHilbertAlgebra) -> list:
-    """g[v][x] = ((x -> v) -> x) -> x, one cell at a time."""
+    """g[v][x] = g(v, x), one cell at a time."""
     elements = range(A.size)
-    return [[_g(A.arrow, v, x) for x in elements] for v in elements]
+    return [[g_by_cells(A, v, x) for x in elements] for v in elements]
+
+
+def d_values_by_cells(A: FiniteHilbertAlgebra, assignment) -> list:
+    """The values of d_0..d_n under an assignment of x_0..x_n, by
+    g_by_cells."""
+    values = [assignment[0]]
+    for x in assignment[1:]:
+        values.append(g_by_cells(A, values[-1], x))
+    return values
 
 
 def failure_sets_by_definition(A: FiniteHilbertAlgebra, steps: int) -> list:
@@ -465,6 +521,17 @@ def find_isomorphism(A: FiniteHilbertAlgebra, B: FiniteHilbertAlgebra):
 
 # ---------------------------------------------------------------------------
 # Heyting algebras of upsets
+
+
+def longest_chain_by_leq(P: Poset) -> int:
+    """Poset.longest_chain by leq: the points taken by the size of their
+    down-sets, best[x] = 1 + the largest best[y] over y < x."""
+    best = [0] * P.size
+    order = sorted(range(P.size), key=lambda x: sum(P.leq[y][x] for y in range(P.size)))
+    for x in order:
+        below = [best[y] for y in range(P.size) if P.leq[y][x] and y != x]
+        best[x] = 1 + max(below, default=0)
+    return max(best, default=0)
 
 
 def heyting_by_cells(P: Poset) -> tuple:

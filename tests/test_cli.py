@@ -21,7 +21,7 @@ from hilbertalg.cli import FILTER_LIST_LIMIT, NMAX_LIMIT, main
 from hilbertalg.core import mask_str
 from hilbertalg.files import dump_algebra, load_algebra, parse_algebra_text
 from hilbertalg.errors import AlgebraFileError
-from oracles import covers_by_scan, fan, find_isomorphism, lattice_by_extension
+from oracles import covers_by_scan, fan, find_isomorphism, lattice_by_extension, two_chains
 
 CHAIN3 = {"size": 3, "arrow": [[2, 2, 2], [0, 2, 2], [0, 1, 2]], "names": ["0", "a", "1"]}
 FORK = {"size": 3, "arrow": [[2, 1, 2], [0, 2, 2], [0, 1, 2]], "names": ["x", "y", "1"]}
@@ -274,6 +274,34 @@ class TestAnalyze:
             "spectrum Hasse: (no covers)",
         ]
 
+    def test_count_within_the_state_budget(self, tmp_path, capsys):
+        """16 disjoint 2-chains: 3^16 filters, counted in 2^17 - 1 states."""
+        path = tmp_path / "two_chains16.json"
+        path.write_text(dump_algebra(two_chains(16)))
+        assert main(["analyze", str(path)]) == 0
+        out = capsys.readouterr()
+        assert out.out.splitlines()[0] == "43046721 filters, spectrum 32 (poset), depth 2"
+        assert out.err == ""
+
+    def test_count_past_the_state_budget_refused(self, tmp_path, capsys, monkeypatch):
+        """With the budget lowered to 2^10 states, 9 disjoint 2-chains
+        (2^10 - 1 states) are counted and 10 (2^11 - 1) refused: exit 1,
+        nothing on stdout, one error line."""
+        monkeypatch.setattr(filters, "_COUNT_STATES", 1 << 10)
+        for m, code in ((9, 0), (10, 1)):
+            path = tmp_path / f"two_chains{m}.json"
+            path.write_text(dump_algebra(two_chains(m)))
+            assert main(["analyze", str(path)]) == code
+            out = capsys.readouterr()
+            if code:
+                assert (out.out, out.err) == (
+                    "",
+                    "error: counting the filters needs more than 1024 states\n",
+                )
+            else:
+                assert out.out.splitlines()[0] == "19683 filters, spectrum 18 (poset), depth 2"
+                assert out.err == ""
+
     @pytest.mark.parametrize("flags", [["--filters"], ["--dot", "out"], ["--filters", "--dot", "out"]])
     def test_listing_past_the_limit_refused(self, tmp_path, capsys, monkeypatch, flags):
         """--filters and --dot refuse fan(63)'s 2^63 filters up front:
@@ -488,6 +516,20 @@ class TestEntryPoint:
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout.splitlines()[-1] == (
             "31 algebras checked, 155 (algebra,n) pairs, all agree"
+        )
+
+    @pytest.mark.slow
+    def test_count_past_the_state_budget(self, tmp_path):
+        """31 disjoint 2-chains load (63 elements), and counting their
+        3^31 filters would need about 2^32 states: analyze is refused at
+        the budget of 2^20."""
+        path = tmp_path / "two_chains31.json"
+        path.write_text(dump_algebra(two_chains(31)))
+        done = self.run("analyze", str(path))
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1,
+            "",
+            "error: counting the filters needs more than 1048576 states\n",
         )
 
     def test_past_the_cap(self):

@@ -678,6 +678,41 @@ def test_benchmark_traced_names_resolve():
             assert callable(getattr(mod, name, None)), f"hilbertalg.{module}.{name}"
 
 
+def test_every_public_name_is_offered_used_or_traced():
+    """Each name in hilbertalg.__all__ is offered in the README (as code:
+    between backticks or in a fenced block), is loaded by code in a src module other than
+    __init__.py outside the top-level definition that binds it, or is
+    wrapped by the benchmark's traced run (perfbench/spans.py TRACED).
+    A docstring, a string or a self-recursion is no use.  A public name
+    that passes none of the three belongs in tests/oracles.py."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    spans = re.findall(r"```.*?```|`[^`]+`", readme, flags=re.S)
+    traced = runpy.run_path(str(root / "perfbench" / "spans.py"))["TRACED"]
+    used = set()
+    package = Path(hilbertalg.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(top, "name", None)
+            used |= {
+                node.id
+                for node in ast.walk(top)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)
+                and node.id != own
+            }
+    unoffered = [
+        name
+        for name in hilbertalg.__all__
+        if not any(re.search(rf"\b{name}\b", span) for span in spans)
+        and name not in used
+        and not any(name in names for names in traced.values())
+    ]
+    assert unoffered == []
+
+
 def test_only_stdlib_imports():
     """The package has no runtime dependencies: every absolute import in
     src/hilbertalg names a module of the standard library."""

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import random
 
@@ -31,17 +32,21 @@ from hilbertalg import (
 from hilbertalg import filters
 from hilbertalg.core import bit
 from hilbertalg.cli import main
+from hilbertalg.depth_terms import _d_values
 from hilbertalg.errors import PreconditionError, RangeError, UnboundVariableError
 from oracles import (
     capped_fan,
     chain_by_correspondence,
     closure_by_rounds,
+    d_values_by_cells,
+    depth_by_pairs,
     failure_sets_by_definition,
     fan,
     g_table_by_cells,
     product,
     relabelled,
     subalgebra,
+    upset_by_cells,
 )
 
 
@@ -182,6 +187,25 @@ class TestLadder:
             assert list(sets) == failure_sets_by_definition(A, len(sets) - 1)
             assert all(T & S == T and T != S for S, T in zip(sets, sets[1:]))
             assert not sets[-1] and len(sets) == depth(A) + 1
+
+    def test_depth_against_the_all_pairs_loop(self):
+        for A in ladder_set():
+            assert depth(A) == depth_by_pairs(A), A.arrow
+
+    def test_d_values_against_the_cell_formula(self):
+        """_d_values reads g off the ladder: every prefix of every failing
+        assignment, on every algebra with <= 5 elements, against g folded
+        cell by cell."""
+        failing = 0
+        for A in [A for size in range(1, 6) for A in enumerate_hilbert(size)]:
+            for n in range(depth(A)):
+                for v in itertools.product(range(A.size), repeat=n + 1):
+                    values = d_values_by_cells(A, v)
+                    if values[-1] != A.top:
+                        failing += 1
+                        for k in range(n + 1):
+                            assert _d_values(A, v, k) == values[: k + 1], (A.arrow, v, k)
+        assert failing > 0
 
     def test_memo_leaves_equality_hash_and_repr(self):
         A, B = chain_algebra(5), chain_algebra(5)
@@ -400,7 +424,7 @@ class TestWitnessPathWithoutQuotient:
         A = chain_algebra(63)
         for n, (cex, fs, elements) in enumerate(self.witnesses(A, range(63))):
             assert cex == elements == tuple(range(n + 1))
-            assert fs == tuple(A.upset_mask(n + 1 - i) for i in range(n + 1))
+            assert fs == tuple(upset_by_cells(A, n + 1 - i) for i in range(n + 1))
 
     def test_capped_fan_62(self, no_quotient):
         A = capped_fan(62)

@@ -43,6 +43,7 @@ from oracles import (
     find_isomorphism,
     heyting_by_cells,
     least_code_by_scan,
+    longest_chain_by_leq,
     posets_by_relabelling,
     scanned_class_codes,
     scanned_hilbert_classes,
@@ -518,6 +519,15 @@ class TestPosets:
         assert two_chain.longest_chain() == 2
         assert antichain.longest_chain() == 1
         assert Poset(0, ()).longest_chain() == 0
+
+    def test_longest_chain_against_the_leq_loop(self):
+        """Every labelled poset with <= 5 points, and every class with 6
+        and 7 points."""
+        posets = [P for k in range(6) for P in all_posets(k)]
+        posets += all_posets(6, up_to_iso=True) + all_posets(7, up_to_iso=True)
+        assert len(posets) == 4231 + 219 + 19 + 3 + 1 + 1 + 318 + 2045
+        for P in posets:
+            assert P.longest_chain() == longest_chain_by_leq(P), P.leq
 
     def test_invalid_relation(self):
         with pytest.raises(RangeError):

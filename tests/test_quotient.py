@@ -17,7 +17,7 @@ from hilbertalg import (
 )
 from hilbertalg.errors import InternalInvariantError, NotAFilterError, RangeError
 from hilbertalg.quotient import _assert_congruence
-from oracles import find_isomorphism, theta_by_cells
+from oracles import find_isomorphism, theta_by_cells, upset_by_cells
 
 
 class TestTheta:
@@ -159,7 +159,7 @@ class TestQuotient:
 
     def test_chain4_by_upset(self):
         A = chain_algebra(3)
-        q = quotient(A, A.upset_mask(1))
+        q = quotient(A, upset_by_cells(A, 1))
         assert q.algebra.size == 2
         assert q.projection == (0, 1, 1, 1)
 
