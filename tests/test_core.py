@@ -680,11 +680,12 @@ def test_benchmark_traced_names_resolve():
 
 def test_every_public_name_is_offered_used_or_traced():
     """Each name in hilbertalg.__all__ is offered in the README (as code:
-    between backticks or in a fenced block), is loaded by code in a src module other than
-    __init__.py outside the top-level definition that binds it, or is
-    wrapped by the benchmark's traced run (perfbench/spans.py TRACED).
-    A docstring, a string or a self-recursion is no use.  A public name
-    that passes none of the three belongs in tests/oracles.py."""
+    between backticks or in a fenced block), is loaded by code in a src
+    module other than __init__.py outside the top-level definition that
+    binds it, or is wrapped by the benchmark's traced run
+    (perfbench/spans.py TRACED).  A docstring, a string or a
+    self-recursion is no use.  A public name that passes none of the
+    three belongs in tests/oracles.py."""
     root = Path(__file__).resolve().parents[1]
     readme = (root / "README.md").read_text(encoding="utf-8")
     spans = re.findall(r"```.*?```|`[^`]+`", readme, flags=re.S)

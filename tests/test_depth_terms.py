@@ -205,7 +205,7 @@ class TestLadder:
                         failing += 1
                         for k in range(n + 1):
                             assert _d_values(A, v, k) == values[: k + 1], (A.arrow, v, k)
-        assert failing > 0
+        assert failing == 193
 
     def test_memo_leaves_equality_hash_and_repr(self):
         A, B = chain_algebra(5), chain_algebra(5)
