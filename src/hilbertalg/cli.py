@@ -13,7 +13,6 @@ from .errors import (
     AlgebraFileError,
     HilbertError,
     InvalidAlgebraError,
-    NotAFilterError,
     SizeLimitError,
 )
 from .files import dump_algebra, load_algebra
@@ -21,7 +20,6 @@ from .filters import (
     _count_filters,
     _fg_with,
     all_filters,
-    is_implicative_filter,
     meet_irreducibles,
 )
 from .quotient import quotient
@@ -136,13 +134,7 @@ def cmd_quotient(args) -> int:
     elements = [
         A.element_named(tok.strip()) for tok in args.filter.split(",") if tok.strip()
     ]
-    F = subset_of(elements)
-    if not is_implicative_filter(A, F):
-        raise NotAFilterError(
-            f"{mask_str(F, A.names)} is not an implicative filter "
-            "(must contain 1 and be closed under modus ponens)"
-        )
-    result = quotient(A, F)
+    result = quotient(A, subset_of(elements))
     print(dump_algebra(result.algebra))
     return EXIT_OK
 

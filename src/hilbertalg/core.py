@@ -63,14 +63,23 @@ def mask_str(mask: int, names: Optional[Sequence[str]] = None) -> str:
     return "{" + ",".join(names[i] for i in iter_bits(mask)) + "}"
 
 
-def _repeated_name(names: Sequence[str]) -> Optional[str]:
-    """The first name in `names` that an earlier one equals, or None.
-    Element names must be distinct, or a name would not say which
-    element it stands for."""
+def _name_fault(names: Sequence[str]) -> Optional[str]:
+    """Why `names` cannot label the elements, or None if they can.
+
+    A name must say which element it stands for, wherever an element is
+    named: in `quotient --filter`, which splits its argument at commas
+    and strips each token, and in mask_str, which joins names with
+    commas.  So each name is non-empty, holds no comma, neither starts
+    nor ends with whitespace, and differs from every earlier name."""
     seen = set()
     for name in names:
+        if not name or "," in name or name != name.strip():
+            return (
+                "names must be non-empty, hold no comma and not start or end "
+                f"with whitespace, {name!r} does not"
+            )
         if name in seen:
-            return name
+            return f"names must be distinct, {name!r} is repeated"
         seen.add(name)
     return None
 
@@ -298,9 +307,9 @@ class FiniteHilbertAlgebra(_Frozen):
             names = tuple(str(x) for x in names)
             if len(names) != n:
                 raise RangeError(f"{len(names)} names for {n} elements")
-            repeated = _repeated_name(names)
-            if repeated is not None:
-                raise RangeError(f"names must be distinct, {repeated!r} is repeated")
+            fault = _name_fault(names)
+            if fault is not None:
+                raise RangeError(fault)
         return cls(
             size=n,
             arrow=tuple(tuple(row) for row in table),

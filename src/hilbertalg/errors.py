@@ -41,8 +41,4 @@ class InternalInvariantError(HilbertError):
 
 
 class AlgebraFileError(HilbertError):
-    """An algebra file failed to parse; `detail` holds position info."""
-
-    def __init__(self, message, detail=None):
-        super().__init__(message)
-        self.detail = detail
+    """An algebra file failed to parse; the message says where and why."""

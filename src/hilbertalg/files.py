@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from .core import FiniteHilbertAlgebra, _repeated_name
+from .core import FiniteHilbertAlgebra, _name_fault
 from .errors import AlgebraFileError
 
 
@@ -13,8 +13,7 @@ def parse_algebra_text(text: str) -> FiniteHilbertAlgebra:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise AlgebraFileError(
-            f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            detail=(exc.lineno, exc.colno),
+            f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     if not isinstance(doc, dict):
         raise AlgebraFileError("document must be a JSON object")
@@ -36,9 +35,9 @@ def parse_algebra_text(text: str) -> FiniteHilbertAlgebra:
         if not isinstance(names, list) or len(names) != size:
             raise AlgebraFileError(f"names must list {size} labels")
         names = [str(x) for x in names]
-        repeated = _repeated_name(names)
-        if repeated is not None:
-            raise AlgebraFileError(f"names must be distinct, {repeated!r} is repeated")
+        fault = _name_fault(names)
+        if fault is not None:
+            raise AlgebraFileError(fault)
     return FiniteHilbertAlgebra.from_table(arrow, names=names)
 
 

@@ -6,9 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .core import _BYTE_VALUES, FiniteHilbertAlgebra, _check_mask, _Frozen, bit, iter_bits
+from .core import FiniteHilbertAlgebra, _Frozen, iter_bits, mask_str, subset_of
+from .enumeration import _up_masks
 from .errors import InternalInvariantError, InvalidAlgebraError, NotAFilterError
-from .filters import all_filters
+from .filters import _fg_with, all_filters, is_implicative_filter
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -37,23 +38,18 @@ def theta(A: FiniteHilbertAlgebra, F: int) -> Congruence:
     """Partition of A by a ~ b iff a->b and b->a both lie in F.
 
     The class of a is the mask R[a] & T[a], where R[a] holds the b with
-    a->b in F (row a of the table) and T[a] the b with b->a in F
-    (column a).  The table is translated once into the digits "1" (in
-    F) and "0" and reversed, so that each row and column is a slice that
-    int(_, 2) reads as its mask.  F is an implicative filter iff it
-    holds 1 and R[a] lies inside F for every a in F, which is modus
-    ponens with a as the premise.
+    a->b in F and T[a] the b with b->a in F.  R[a] is Fg(F | {a}) by the
+    deduction theorem (filters._fg_with), and T is the transpose of R,
+    which _up_masks computes.  The filter test refuses a mask outside
+    the universe with RangeError.
     """
-    _check_mask(A, F)
-    n = A.size
-    digits = format(F, f"0{n}b")[::-1].encode() + _BYTE_VALUES[n:]
-    bits = b"".join(map(bytes, A.arrow)).translate(digits)[::-1]
-    # bits[k*n : (k+1)*n] is row n-1-k and bits[k::n] column n-1-k.
-    rows = [int(bits[k : k + n], 2) for k in range(0, n * n, n)][::-1]
-    if not F >> A.top & 1 or any(rows[a] & ~F for a in iter_bits(F)):
-        raise NotAFilterError(f"mask {F:#x} is not an implicative filter")
-    cols = [int(bits[k::n], 2) for k in range(n)][::-1]
-    related = list(map(int.__and__, rows, cols))
+    if not is_implicative_filter(A, F):
+        raise NotAFilterError(
+            f"{mask_str(F, A.names)} is not an implicative filter "
+            "(must contain 1 and be closed under modus ponens)"
+        )
+    rows = [_fg_with(A, F, a) for a in range(A.size)]
+    related = list(map(int.__and__, rows, _up_masks(rows)))
     index = {}  # each distinct class mask, in order of its least member
     class_of = [index.setdefault(r, len(index)) for r in related]
     blocks = tuple(index)
@@ -89,23 +85,18 @@ def _assert_congruence(A, related, class_of, blocks):
                 raise InternalInvariantError("theta_F is not symmetric")
             raise InternalInvariantError("theta_F is not transitive")
     reps = [(block & -block).bit_length() - 1 for block in blocks]
+    rep = [reps[c] for c in class_of]
     # Compatibility: a ~ a2 and b ~ b2 imply class(a->b) == class(a2->b2).
     # It suffices to check class(a->b) == class(rep(a)->rep(b)) for all a, b,
     # where rep(a) = reps[class(a)].  That is the case a2 = rep(a),
     # b2 = rep(b) of the full check, since rep(a) ~ a.  Conversely, it gives
     # the full check: class_of is a function, so a ~ a2 means
     # rep(a) = rep(a2), and both sides equal class(rep(a)->rep(b)).
-    # Both sides are compared as byte strings over all (a, b), built with
-    # bytes.translate.  Row a of the right side depends on a only through
-    # rep(a), so it is built once per block.
-    rep = bytes(map(reps.__getitem__, class_of))
-    pad = _BYTE_VALUES[n:]
-    to_class = bytes(class_of) + pad
-    rep_rows = [rep.translate(bytes(A.arrow[r]) + pad) for r in reps]
-    lhs = b"".join(map(bytes, A.arrow))  # a->b
-    rhs = b"".join(map(rep_rows.__getitem__, class_of))  # rep(a)->rep(b)
-    if lhs.translate(to_class) != rhs.translate(to_class):
-        raise InternalInvariantError("theta_F not arrow-compatible")
+    for a in range(n):
+        row, rep_row = A.arrow[a], A.arrow[rep[a]]
+        for b in range(n):
+            if class_of[row[b]] != class_of[rep_row[rep[b]]]:
+                raise InternalInvariantError("theta_F not arrow-compatible")
 
 
 def quotient(A: FiniteHilbertAlgebra, F: int) -> QuotientResult:
@@ -142,10 +133,7 @@ def correspondence_check(
     above = [G for G in all_filters(A).filters if G & F == F]
     mapping = {}
     for G in above:
-        image = 0
-        for g in iter_bits(G):
-            image |= bit(proj[g])
-        mapping[G] = image
+        mapping[G] = subset_of(proj[g] for g in iter_bits(G))
     quotient_filters = set(all_filters(q.algebra).filters)
     images = list(mapping.values())
     ok = (

@@ -127,6 +127,20 @@ class TestCheck:
         assert out.out == ""
         assert out.err == "error: names must be distinct, 'a' is repeated\n"
 
+    @pytest.mark.parametrize("command", [["check"], ["analyze", "--filters"]])
+    @pytest.mark.parametrize("name", ["a,b", " a", "a ", ""])
+    def test_names_that_cannot_name_an_element(self, algebra_file, capsys, command, name):
+        """--filter splits at commas and strips each token, and mask_str
+        joins names with commas: with ["x", "a,b", "1"], --filter a,b,1
+        read 'a' as a name, and the filter {a,b} printed as {a,b,1}."""
+        path = algebra_file(dict(FORK, names=["x", name, "1"]))
+        assert main([command[0], path, *command[1:]]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: names must be non-empty, hold no comma and not start or end "
+            f"with whitespace, {name!r} does not\n",
+        )
+
     def test_bool_entries(self, algebra_file, capsys):
         doc = {"size": 2, "arrow": [[True, True], [False, True]]}
         assert main(["check", algebra_file(doc)]) == 1
@@ -438,8 +452,13 @@ class TestQuotient:
         assert find_isomorphism(quotient_alg, chain3) is not None
 
     def test_not_a_filter(self, algebra_file, capsys):
+        """The refusal is theta's, printed whole on one line."""
         assert main(["quotient", algebra_file(CHAIN3), "--filter", "0,1"]) == 1
-        assert "not an implicative filter" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "",
+            "error: {0,1} is not an implicative filter "
+            "(must contain 1 and be closed under modus ponens)\n",
+        )
 
     def test_indices_without_names(self, algebra_file, capsys):
         doc = {"size": 3, "arrow": CHAIN3["arrow"]}

@@ -101,6 +101,17 @@ class TestValidate:
                 FiniteHilbertAlgebra.from_table(chain3, names=names)
         assert FiniteHilbertAlgebra.from_table(chain3, names=["0", "a", "1"]).names == ("0", "a", "1")
 
+    @pytest.mark.parametrize("name", ["a,b", " a", "a ", ""])
+    def test_names_that_cannot_name_an_element_refused(self, name):
+        chain3 = [[2, 2, 2], [0, 2, 2], [0, 1, 2]]
+        with pytest.raises(RangeError, match="^names must be non-empty, hold no comma"):
+            FiniteHilbertAlgebra.from_table(chain3, names=["x", name, "1"])
+
+    @pytest.mark.parametrize("names", [["0", "a", "1"], ["x", "y", "1"], ['a\\"', "b\\", '"c']])
+    def test_names_accepted(self, names):
+        chain3 = [[2, 2, 2], [0, 2, 2], [0, 1, 2]]
+        assert FiniteHilbertAlgebra.from_table(chain3, names=names).names == tuple(names)
+
     def test_non_constant_diagonal(self):
         report = validate([[0, 1], [0, 1]])
         assert not report.ok

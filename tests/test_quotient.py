@@ -3,6 +3,8 @@ import itertools
 import pytest
 
 from hilbertalg import (
+    FiniteHilbertAlgebra,
+    Poset,
     all_filters,
     all_posets,
     chain_algebra,
@@ -38,6 +40,19 @@ class TestTheta:
         with pytest.raises(NotAFilterError):
             theta(chain3, subset_of([0, 2]))
 
+    @pytest.mark.parametrize("refuse", [theta, quotient])
+    def test_not_a_filter_message(self, chain3, refuse):
+        """The set is printed by mask_str: by index, or by name when the
+        algebra has names, as the CLI's quotient prints it."""
+        named = FiniteHilbertAlgebra.from_table(chain3.arrow, names=["0", "a", "1"])
+        for A, shown in ((chain3, "{0,2}"), (named, "{0,1}")):
+            with pytest.raises(NotAFilterError) as exc:
+                refuse(A, subset_of([0, 2]))
+            assert str(exc.value) == (
+                f"{shown} is not an implicative filter "
+                "(must contain 1 and be closed under modus ponens)"
+            )
+
     @pytest.mark.parametrize("F", [-1, 1 << 4, 1 << 9])
     def test_mask_outside_the_universe(self, F):
         with pytest.raises(RangeError, match="not inside the universe"):
@@ -51,6 +66,18 @@ class TestTheta:
         for A in algebras:
             for F in all_filters(A).filters:
                 assert theta(A, F) == theta_by_cells(A, F)
+
+    @pytest.mark.parametrize("name", ["chain_algebra(63)", "antichain-6 reduct"])
+    def test_same_as_cell_by_cell_theta_at_64_elements(self, name):
+        """On every filter of two algebras at the universe cap."""
+        if name == "chain_algebra(63)":
+            A = chain_algebra(63)
+        else:
+            antichain = Poset(6, tuple(tuple(a == b for b in range(6)) for a in range(6)))
+            A = heyting_from_poset(antichain)[1]
+        assert A.size == 64
+        for F in all_filters(A).filters:
+            assert theta(A, F) == theta_by_cells(A, F)
 
     def test_refuses_the_masks_cell_by_cell_theta_refuses(self):
         for n in range(1, 5):
