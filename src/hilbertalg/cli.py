@@ -131,9 +131,7 @@ def cmd_verify(args) -> int:
 
 def cmd_quotient(args) -> int:
     A = load_algebra(args.path)
-    elements = [
-        A.element_named(tok.strip()) for tok in args.filter.split(",") if tok.strip()
-    ]
+    elements = [A.element_named(tok.strip()) for tok in args.filter.split(",")]
     result = quotient(A, subset_of(elements))
     print(dump_algebra(result.algebra))
     return EXIT_OK

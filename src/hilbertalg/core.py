@@ -27,6 +27,14 @@ MAX_UNIVERSE = 64  # a chosen cap, not a word size: masks are Python ints
 _BYTE_VALUES = bytes(range(256))
 
 
+def _marks(mask: int) -> bytes:
+    """The translate map that sends each member of mask (below 256) to
+    b"1" and every other byte to b"0".  A string s marked through it
+    reads back as the mask int(s[::-1], 2) of the places it marks; base 2
+    is exempt from Python's limit on int-string digits."""
+    return format(mask, "0256b")[::-1].encode()
+
+
 # ---------------------------------------------------------------------------
 # subsets as bit masks
 
@@ -340,7 +348,11 @@ class FiniteHilbertAlgebra(_Frozen):
         return (1 << self.size) - 1
 
     def element_named(self, label: str) -> int:
-        if self.names is not None and label in self.names:
+        """The element a label means: a name when the elements have names,
+        else an index."""
+        if self.names is not None:
+            if label not in self.names:
+                raise RangeError(f"unknown element {label!r}")
             return self.names.index(label)
         try:
             a = int(label)

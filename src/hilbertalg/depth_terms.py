@@ -25,6 +25,7 @@ from .core import (
     _Frozen,
     Term,
     Var,
+    _marks,
     bit,
     iter_bits,
     subset_of,
@@ -35,7 +36,7 @@ from .errors import (
     RangeError,
     UnboundVariableError,
 )
-from .filters import _fg_with, _separate, depth, meet_irreducibles
+from .filters import _fg_with, _separate, depth
 
 
 def d_term(n: int) -> Term:
@@ -82,14 +83,17 @@ def _build_ladder(A: FiniteHilbertAlgebra) -> tuple:
 
     g[v] holds g(v, x) for every x, as bytes; sets holds T_0 > T_1 > ...
     as masks, and T_j for every j past the last entry equals the last
-    entry.  The build steps through reach[v], the mask of the values in
-    g[v], which is not kept.  A plain tuple, because a class here would
-    be built at every import of the package.
+    entry.  A plain tuple, because a class here would be built at every
+    import of the package.
 
     Column x of g, the values g(v, x) over v, is row x of the table (the
     map v |-> x -> v) mapped twice through column x (the map y |-> y -> x).
-    bytes.translate applies each map in C, as in core.validate, and
-    zip(*...) turns the columns into rows.
+    bytes.translate applies each map in C, as in core.validate.  The
+    columns are joined into one string c with c[x*n + v] = g(v, x), and
+    g's rows are its strided slices c[v::n].  One translate of c through
+    core._marks(T_j) marks the cells that land in T_j; read back as a
+    mask, its n blocks of n bits (one per x) are or-ed into block 0 by
+    halving shifts, ceil(log2 n) of them, which leaves T_{j+1}.
 
     The ladder is exact without the depth theorem.  g(1, x) = ((x -> 1)
     -> x) -> x = (1 -> x) -> x = x -> x = 1, so 1 lies in no T_{j+1} and
@@ -105,12 +109,17 @@ def _build_ladder(A: FiniteHilbertAlgebra) -> tuple:
     for row, column in zip(A.arrow, zip(*A.arrow)):
         to_x = bytes(column) + pad
         columns.append(bytes(row).translate(to_x).translate(to_x))
-    g = tuple(bytes(values) for values in zip(*columns))
-    reach = tuple(subset_of(set(values)) for values in g)
+    c = b"".join(columns)
+    g = tuple(c[v::n] for v in range(n))
     sets = [A.universe_mask() & ~bit(A.top)]
     while sets[-1]:
         target = sets[-1]
-        below = subset_of(v for v, r in enumerate(reach) if r & target)
+        below = int(c.translate(_marks(target))[::-1], 2)
+        blocks = n
+        while blocks > 1:
+            blocks = (blocks + 1) // 2
+            below |= below >> (blocks * n)
+        below &= A.universe_mask()
         # Checked, not assumed: a step outside the set before could cycle.
         if below & ~target:
             raise InternalInvariantError("T_{j+1} is not inside T_j")
@@ -282,7 +291,7 @@ def _chain_in_interval(A, assignment, values, n):
 
 def _is_spectrum_chain(A: FiniteHilbertAlgebra, fs: tuple) -> bool:
     """Every member lies in Spec(A) and each is strictly below the next."""
-    spectrum = meet_irreducibles(A)
+    spectrum = A._spectrum
     return all(F in spectrum for F in fs) and all(
         F & G == F and F != G for F, G in zip(fs, fs[1:])
     )
@@ -333,9 +342,8 @@ def _subalg_rec(A, fs):
         return [min(iter_bits(outside))]
     prev = _subalg_rec(A, fs[1:])
     am = prev[-1]
-    G = subset_of(
-        b for b in range(A.size) if A.leq(am, b) and A.arrow[b][am] == am
-    )
+    arrow, top = A.arrow, A.top
+    G = subset_of(b for b in range(A.size) if arrow[am][b] == top and arrow[b][am] == am)
     candidates = fs[1] & G & ~F0
     if not candidates:
         raise InternalInvariantError("(F_1 & G) - F_0 is empty")
@@ -344,20 +352,20 @@ def _subalg_rec(A, fs):
 
 def _check_subalgebra(witness: SubalgebraChainWitness, F0: int) -> None:
     A = witness.algebra
+    arrow, top = A.arrow, A.top
     es = witness.elements
     if F0 >> es[-1] & 1:
         raise InternalInvariantError("top chain element lies in F_0")
     for a, b in zip(es, es[1:]):
-        if not (A.leq(a, b) and a != b):
+        if not (arrow[a][b] == top and a != b):
             raise InternalInvariantError("witness elements are not strictly increasing")
-    if any(a == A.top for a in es):
+    if top in es:
         raise InternalInvariantError("witness chain reaches the top element")
     for j, aj in enumerate(es):
         for i in range(j):
-            if A.arrow[aj][es[i]] != es[i]:
+            if arrow[aj][es[i]] != es[i]:
                 raise InternalInvariantError("a_j -> a_i = a_i fails on the witness")
-    closed = subset_of(es) | bit(A.top)
-    for a in iter_bits(closed):
-        for b in iter_bits(closed):
-            if not closed >> A.arrow[a][b] & 1:
-                raise InternalInvariantError("witness elements do not form a subuniverse")
+    members = (*es, top)
+    closed = subset_of(members)
+    if any(not closed >> arrow[a][b] & 1 for a in members for b in members):
+        raise InternalInvariantError("witness elements do not form a subuniverse")

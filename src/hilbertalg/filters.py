@@ -11,7 +11,15 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
-from .core import FiniteHilbertAlgebra, _check_mask, _Frozen, bit, iter_bits, subset_of
+from .core import (
+    FiniteHilbertAlgebra,
+    _check_mask,
+    _Frozen,
+    _marks,
+    bit,
+    iter_bits,
+    subset_of,
+)
 from .enumeration import _closed_masks, _longest_chain
 from .errors import PreconditionError, RangeError, SizeLimitError
 
@@ -126,14 +134,16 @@ def _build_spectrum(A: FiniteHilbertAlgebra) -> tuple:
     for every x outside down(a): take y = a for necessity; for
     sufficiency, y <= a gives x -> y <= x -> a = a.  So a != 1 contributes
     iff column a holds only a and 1.  O(|A|^2) in all; zip(*...) hands
-    over the columns in order, each as one tuple.
+    over the columns in order, each as one tuple, and down(a) is read off
+    its bytes marked through core._marks({1}).
     """
     top = A.top
     universe = A.universe_mask()
+    is_top = _marks(bit(top))
     spectrum = []
     for a, column in enumerate(zip(*A.arrow)):
         if a != top and set(column) <= {a, top}:
-            down = subset_of(x for x, v in enumerate(column) if v == top)
+            down = int(bytes(column).translate(is_top)[::-1], 2)
             spectrum.append(universe & ~down)
     return _by_size(spectrum)
 
@@ -200,13 +210,13 @@ def _separate(A: FiniteHilbertAlgebra, X: int, a: int, E: int) -> int:
     """
     if X >> a & 1:
         raise PreconditionError(f"element {a} already in the filter")
-    spectrum = meet_irreducibles(A)
-    candidates = [G for G in spectrum.filters if G & X == X and not G >> a & 1]
+    candidates = [G for G in A._spectrum if G & X == X and not G >> a & 1]
     if not candidates:
         raise PreconditionError("no separating meet-irreducible (input not a filter?)")
-    maximal = [
-        G for G in candidates if not any(H != G and H & G == G for H in candidates)
-    ]
+    maximal = []  # largest first: a strict superset comes before its subsets
+    for G in reversed(candidates):
+        if not any(H & G == G for H in maximal):
+            maximal.append(G)
     if len(maximal) == 1 or E == bit(A.top):
         return min(maximal)
     leaders = _class_leaders(A, E)
@@ -218,13 +228,13 @@ def _class_leaders(A: FiniteHilbertAlgebra, E: int) -> int:
 
     a theta_E b iff a -> b and b -> a lie in E, iff Fg(E | {a}) =
     Fg(E | {b}): b lies in Fg(E | {a}) iff a -> b lies in E, and then
-    Fg(E | {b}) <= Fg(E | {a}); likewise with a and b swapped.
+    Fg(E | {b}) <= Fg(E | {a}); likewise with a and b swapped.  The
+    row-major table marked once through core._marks(E) holds the pattern
+    of Fg(E | {a}) in row a, so the rows key the classes.
     """
-    seen = set()
-    leaders = 0
-    for a in range(A.size):
-        key = _fg_with(A, E, a)
-        if key not in seen:
-            seen.add(key)
-            leaders |= bit(a)
-    return leaders
+    n = A.size
+    marked = b"".join(map(bytes, A.arrow)).translate(_marks(E))
+    first = {}
+    for a in range(n):
+        first.setdefault(marked[a * n : a * n + n], a)
+    return subset_of(first.values())

@@ -24,6 +24,7 @@ from hilbertalg.errors import AlgebraFileError
 from oracles import covers_by_scan, fan, find_isomorphism, lattice_by_extension, two_chains
 
 CHAIN3 = {"size": 3, "arrow": [[2, 2, 2], [0, 2, 2], [0, 1, 2]], "names": ["0", "a", "1"]}
+UNNAMED_CHAIN3 = {"size": 3, "arrow": CHAIN3["arrow"]}
 FORK = {"size": 3, "arrow": [[2, 1, 2], [0, 2, 2], [0, 1, 2]], "names": ["x", "y", "1"]}
 TRIVIAL = {"size": 1, "arrow": [[0]]}
 BAD_CHAIN = {"size": 3, "arrow": [[2, 2, 2], [1, 2, 2], [0, 1, 2]]}
@@ -461,9 +462,25 @@ class TestQuotient:
         )
 
     def test_indices_without_names(self, algebra_file, capsys):
-        doc = {"size": 3, "arrow": CHAIN3["arrow"]}
-        assert main(["quotient", algebra_file(doc), "--filter", "1,2"]) == 0
+        assert main(["quotient", algebra_file(UNNAMED_CHAIN3), "--filter", "1,2"]) == 0
         assert json.loads(capsys.readouterr().out)["size"] == 2
+
+    @pytest.mark.parametrize("tokens", ["1,2", "2", "a,2"])
+    def test_a_token_is_a_name_when_there_are_names(self, algebra_file, capsys, tokens):
+        """chain3's names are 0, a and 1, so 2 names nothing.  1,2 used to
+        read 1 as a name and 2 as an index, and gave the trivial quotient."""
+        assert main(["quotient", algebra_file(CHAIN3), "--filter", tokens]) == 1
+        assert capsys.readouterr() == ("", "error: unknown element '2'\n")
+
+    @pytest.mark.parametrize(
+        "doc, tokens",
+        [(CHAIN3, t) for t in (",1", "a,,1", "1,", " ", "")]
+        + [(UNNAMED_CHAIN3, t) for t in (",2", "1,,2", "")],
+    )
+    def test_an_empty_token_is_refused(self, algebra_file, capsys, doc, tokens):
+        """An empty token used to be dropped: ,1 and a,,1 exited 0."""
+        assert main(["quotient", algebra_file(doc), "--filter", tokens]) == 1
+        assert capsys.readouterr() == ("", "error: unknown element ''\n")
 
 
 class TestEnumerate:

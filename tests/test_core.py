@@ -27,15 +27,17 @@ from hilbertalg import (
     chain_algebra,
     d_term,
     eval_term,
+    fg_closure,
     satisfies_identity,
     subset_of,
     validate,
 )
-from hilbertalg.core import MAX_UNIVERSE, ValidationReport, iter_bits, mask_str
+from hilbertalg.core import MAX_UNIVERSE, ValidationReport, _marks, iter_bits, mask_str
 from hilbertalg.depth_terms import (
     ChainWitness,
     DepthReport,
     SubalgebraChainWitness,
+    _build_ladder,
     chain_from_counterexample,
     depth_leq_via_identity,
     subalgebra_from_chain,
@@ -52,15 +54,21 @@ from hilbertalg.enumeration import (
 from hilbertalg.filters import (
     FilterLattice,
     SpectrumPoset,
+    _build_spectrum,
+    _class_leaders,
     all_filters,
     meet_irreducibles,
 )
 from hilbertalg.quotient import Congruence, QuotientResult
 from oracles import (
     closure_by_rounds,
+    failure_sets_by_definition,
     fan,
     find_isomorphism,
+    g_table_by_cells,
+    is_mp_closed,
     satisfies_identity_by_eval_term,
+    theta_by_cells,
     validate_by_cells,
 )
 
@@ -210,6 +218,44 @@ class TestOrder:
                     for c in range(n):
                         if A.leq(a, b) and A.leq(b, c):
                             assert A.leq(a, c)
+
+
+class TestByteMapKernel:
+    """core._marks and the three builders that read masks back through
+    it, at 64 elements, where a marked g string has 4,096 characters."""
+
+    def test_builders_ignore_the_int_string_digit_limit(self):
+        """Base 2 is exempt from the limit on int-string digits, so the
+        builders agree with their oracles at its lowest value, 640."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for A in (chain_algebra(63), fan(63)):
+                rows, sets = _build_ladder(A)
+                assert [list(row) for row in rows] == g_table_by_cells(A)
+                assert list(sets) == failure_sets_by_definition(A, len(sets) - 1)
+                universe = A.universe_mask()
+                # Diego: A - down(a) for each a != 1 that is a filter
+                complements = {
+                    universe & ~subset_of(x for x in range(A.size) if A.leq(x, a))
+                    for a in range(A.size)
+                    if a != A.top
+                }
+                spectrum = _build_spectrum(A)
+                assert len(spectrum) == 63
+                assert set(spectrum) == {U for U in complements if is_mp_closed(A, U)}
+                for X in (0, 1 << 5 | 1 << 30, 0x5555 << 40, universe):
+                    E = fg_closure(A, X)
+                    blocks = theta_by_cells(A, E).blocks
+                    assert _class_leaders(A, E) == subset_of(min(iter_bits(b)) for b in blocks)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_marks(self):
+        assert len(_marks(0)) == 256 and set(_marks(0)) == {ord("0")}
+        marks = _marks(1 << 255 | 0b101)
+        assert [i for i, m in enumerate(marks) if m == ord("1")] == [0, 2, 255]
+        assert int(bytes([2, 7, 0, 255]).translate(marks)[::-1], 2) == 0b1101
 
 
 class TestEvalTerm:

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from hilbertalg import (
     FiniteHilbertAlgebra,
     Imp,
     Poset,
+    SubalgebraChainWitness,
     Var,
     all_filters,
     all_posets,
@@ -32,8 +34,13 @@ from hilbertalg import (
 from hilbertalg import filters
 from hilbertalg.core import bit
 from hilbertalg.cli import main
-from hilbertalg.depth_terms import _d_values
-from hilbertalg.errors import PreconditionError, RangeError, UnboundVariableError
+from hilbertalg.depth_terms import _build_ladder, _check_subalgebra, _d_values
+from hilbertalg.errors import (
+    InternalInvariantError,
+    PreconditionError,
+    RangeError,
+    UnboundVariableError,
+)
 from oracles import (
     capped_fan,
     chain_by_correspondence,
@@ -207,6 +214,16 @@ class TestLadder:
                             assert _d_values(A, v, k) == values[: k + 1], (A.arrow, v, k)
         assert failing == 193
 
+    def test_step_check_fires_on_a_table_that_is_no_algebra(self):
+        """The raw constructor skips validate.  With 3 -> 3 = 0 in the
+        5-element chain, g(1, 3) = (1 -> 3) -> 3 = 3 -> 3 = 0 lies in T_0,
+        so 1 lands in T_1, outside T_0."""
+        table = [list(row) for row in chain_algebra(4).arrow]
+        table[3][3] = 0
+        A = FiniteHilbertAlgebra(size=5, arrow=tuple(map(tuple, table)), top=4)
+        with pytest.raises(InternalInvariantError, match=r"^T_\{j\+1\} is not inside T_j$"):
+            _build_ladder(A)
+
     def test_memo_leaves_equality_hash_and_repr(self):
         A, B = chain_algebra(5), chain_algebra(5)
         before = (repr(A), hash(A))
@@ -343,6 +360,9 @@ class TestChainAgainstCorrespondence:
                 assert chain_from_counterexample(A, cex, n).filters == expected, (A.arrow, n)
 
 
+CHAIN3 = chain_algebra(2)
+
+
 class TestSubalgebraFromChain:
     def test_chain3(self, chain3):
         w = chain_from_counterexample(chain3, (0, 1), 1)
@@ -369,6 +389,36 @@ class TestSubalgebraFromChain:
         w = ChainWitness(algebra=chain3, filters=(subset_of([0, 1, 2]),))
         with pytest.raises(PreconditionError):
             subalgebra_from_chain(chain3, w)
+
+    # The Boolean algebra 0 < p, q < 1 on indices 0..3, a -> b = -a | b.
+    BOOLEAN4 = FiniteHilbertAlgebra.from_table(
+        [[3, 3, 3, 3], [2, 3, 2, 3], [1, 1, 3, 3], [0, 1, 2, 3]]
+    )
+    # Not an algebra, so made with the raw constructor, which skips
+    # validate: the 3-chain 0 < a < 1 with 1 -> 0 = a.
+    TOP_ROW_BROKEN = FiniteHilbertAlgebra(
+        size=3, arrow=((2, 2, 2), (0, 2, 2), (1, 2, 2)), top=2
+    )
+
+    @pytest.mark.parametrize(
+        "A, elements, F0, message",
+        [
+            (CHAIN3, (0, 1), subset_of([1, 2]), "top chain element lies in F_0"),
+            (CHAIN3, (1, 0), bit(2), "witness elements are not strictly increasing"),
+            (CHAIN3, (1, 1), bit(2), "witness elements are not strictly increasing"),
+            (CHAIN3, (0, 2), bit(1), "witness chain reaches the top element"),
+            (BOOLEAN4, (0, 1), bit(3), "a_j -> a_i = a_i fails on the witness"),
+            (TOP_ROW_BROKEN, (0,), 0, "witness elements do not form a subuniverse"),
+        ],
+    )
+    def test_each_check_fires(self, A, elements, F0, message):
+        """Each of the five checks, on a crafted witness.  In a Hilbert
+        algebra the first four imply the fifth (a_i -> a_j = 1 below,
+        a_j -> a_i = a_i above, x -> x = 1, 1 -> x = x, x -> 1 = 1), so
+        the fifth needs a table that is not one."""
+        witness = SubalgebraChainWitness(algebra=A, elements=elements)
+        with pytest.raises(InternalInvariantError, match=f"^{re.escape(message)}$"):
+            _check_subalgebra(witness, F0)
 
     def test_round_trip_exhaustive(self):
         # counterexample -> filter chain -> element chain on which d_n fails again
