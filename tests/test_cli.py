@@ -474,8 +474,8 @@ class TestQuotient:
 
     @pytest.mark.parametrize(
         "doc, tokens",
-        [(CHAIN3, t) for t in (",1", "a,,1", "1,", " ", "")]
-        + [(UNNAMED_CHAIN3, t) for t in (",2", "1,,2", "")],
+        [pytest.param(CHAIN3, t, id=f"named:{t}") for t in (",1", "a,,1", "1,", " ", "")]
+        + [pytest.param(UNNAMED_CHAIN3, t, id=f"unnamed:{t}") for t in (",2", "1,,2", "")],
     )
     def test_an_empty_token_is_refused(self, algebra_file, capsys, doc, tokens):
         """An empty token used to be dropped: ,1 and a,,1 exited 0."""

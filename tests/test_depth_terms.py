@@ -410,6 +410,7 @@ class TestSubalgebraFromChain:
             (BOOLEAN4, (0, 1), bit(3), "a_j -> a_i = a_i fails on the witness"),
             (TOP_ROW_BROKEN, (0,), 0, "witness elements do not form a subuniverse"),
         ],
+        ids=["in-F0", "decreasing", "repeated", "top", "a_j->a_i", "not-closed"],
     )
     def test_each_check_fires(self, A, elements, F0, message):
         """Each of the five checks, on a crafted witness.  In a Hilbert
