@@ -20,6 +20,7 @@ from .filters import (
     _count_filters,
     _fg_with,
     all_filters,
+    depth,
     meet_irreducibles,
 )
 from .quotient import quotient
@@ -52,26 +53,25 @@ def cmd_check(args) -> int:
 
 def cmd_analyze(args) -> int:
     A = load_algebra(args.path)
-    spectrum = meet_irreducibles(A)
-    d = spectrum.max_chain_size()
+    points = meet_irreducibles(A)
+    d = depth(A)
     k = _count_filters(A)
     if (args.filters or args.dot) and k > FILTER_LIST_LIMIT:
         raise SizeLimitError(
             f"{k} filters exceed the listing limit {FILTER_LIST_LIMIT} of "
             "--filters and --dot"
         )
-    m = len(spectrum.filters)
+    m = len(points)
     plural = "" if k == 1 else "s"
     # d is the longest chain: all m >= 1 points form one iff d == m, and
     # no two are comparable iff d == 1 (m == 1 is a chain).
     shape = f" ({'chain' if d == m else 'antichain' if d == 1 else 'poset'})" if m else ""
     print(f"{k} filter{plural}, spectrum {m}{shape}, depth {d}")
     label = lambda F: mask_str(F, A.names)
-    lattice = all_filters(A).filters if args.filters or args.dot else ()
+    lattice = all_filters(A) if args.filters or args.dot else ()
     if args.filters:
         for F in lattice:
             print(f"  filter {label(F)}")
-    points = spectrum.filters
     covers = hasse_covers(points, lambda F: (G for G in points if G != F and F & G == F))
     if args.spectrum or m:
         rel = ", ".join(f"{label(points[i])} < {label(points[j])}" for i, j in covers)

@@ -8,6 +8,7 @@ generator sets hashable and makes inclusion a single `&`.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import product
@@ -349,15 +350,15 @@ class FiniteHilbertAlgebra(_Frozen):
 
     def element_named(self, label: str) -> int:
         """The element a label means: a name when the elements have names,
-        else an index."""
+        else an index, written -?[0-9]+ in ASCII (int() would also take
+        "0_1", "+1" and non-ASCII digits)."""
         if self.names is not None:
             if label not in self.names:
                 raise RangeError(f"unknown element {label!r}")
             return self.names.index(label)
-        try:
-            a = int(label)
-        except ValueError:
+        if not re.fullmatch("-?[0-9]+", label):
             raise RangeError(f"unknown element {label!r}")
+        a = int(label)
         if not 0 <= a < self.size:
             raise RangeError(f"element index {a} out of range [0,{self.size})")
         return a

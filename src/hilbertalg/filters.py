@@ -7,14 +7,12 @@ so every derived structure is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
 from .core import (
     FiniteHilbertAlgebra,
     _check_mask,
-    _Frozen,
     _marks,
     bit,
     iter_bits,
@@ -59,24 +57,14 @@ def _by_size(masks) -> tuple:
 # the lattice of all filters
 
 
-@dataclass(init=False, repr=False, eq=False)
-class FilterLattice(_Frozen):
-    """Every implicative filter of an algebra, as masks."""
-
-    algebra: FiniteHilbertAlgebra
-    filters: tuple  # masks, sorted by (popcount, mask)
-
-    def __init__(self, algebra: FiniteHilbertAlgebra, filters: tuple):
-        self.__dict__.update(algebra=algebra, filters=filters)
-
-
-def all_filters(A: FiniteHilbertAlgebra) -> FilterLattice:
-    """Every implicative filter of A: up to 2^(|A|-1) of them, so only
-    callers that list the lattice build it, once each."""
+def all_filters(A: FiniteHilbertAlgebra) -> tuple:
+    """Every implicative filter of A, as masks sorted by (popcount, mask):
+    up to 2^(|A|-1) of them, so only callers that list the lattice build
+    it, once each."""
     return _build_lattice(A)
 
 
-def _build_lattice(A: FiniteHilbertAlgebra) -> FilterLattice:
+def _build_lattice(A: FiniteHilbertAlgebra) -> tuple:
     """Fi(A) as the meets of the up-sets U of Spec(A), with the empty
     meet A.  Fi(A) is distributive (Diego), so each meet-irreducible is
     meet-prime and U |-> meet(U) is a bijection onto Fi(A), with inverse
@@ -86,7 +74,7 @@ def _build_lattice(A: FiniteHilbertAlgebra) -> FilterLattice:
         reduce(and_, map(spectrum.__getitem__, iter_bits(U)), A.universe_mask())
         for U in _closed_masks(_above(spectrum))
     )
-    return FilterLattice(algebra=A, filters=_by_size(meets))
+    return _by_size(meets)
 
 
 # Most states _count_filters memoises.  m disjoint 2-chains need
@@ -148,35 +136,16 @@ def _build_spectrum(A: FiniteHilbertAlgebra) -> tuple:
     return _by_size(spectrum)
 
 
-@dataclass(init=False, repr=False, eq=False)
-class SpectrumPoset(_Frozen):
-    """Meet-irreducible filters under inclusion (the spectrum A_*)."""
-
-    algebra: FiniteHilbertAlgebra
-    filters: tuple  # masks, sorted by (popcount, mask)
-
-    def __init__(self, algebra: FiniteHilbertAlgebra, filters: tuple):
-        self.__dict__.update(algebra=algebra, filters=filters)
-
-    def __contains__(self, F: int) -> bool:
-        return F in self.filters
-
-    def max_chain_size(self) -> int:
-        """Longest chain, counted in elements (filters are sorted by size)."""
-        return _longest_chain(self.filters)
-
-
-def meet_irreducibles(A: FiniteHilbertAlgebra) -> SpectrumPoset:
-    """Filters that are neither the maximum nor a meet of two larger ones.
-
-    Built once per algebra by _build_spectrum and kept on the instance.
-    """
-    return SpectrumPoset(algebra=A, filters=A._spectrum)
+def meet_irreducibles(A: FiniteHilbertAlgebra) -> tuple:
+    """Filters that are neither the maximum nor a meet of two larger ones:
+    the masks, sorted by (popcount, mask), that _build_spectrum builds
+    once per algebra and keeps on the instance."""
+    return A._spectrum
 
 
 def depth(A: FiniteHilbertAlgebra) -> int:
     """Maximum chain size in the spectrum; 0 for the trivial algebra."""
-    return meet_irreducibles(A).max_chain_size()
+    return _longest_chain(A._spectrum)
 
 
 def separate(A: FiniteHilbertAlgebra, F: int, a: int) -> int:

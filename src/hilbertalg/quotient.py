@@ -130,11 +130,11 @@ def correspondence_check(
     """
     q = quotient(A, F)
     proj = q.projection
-    above = [G for G in all_filters(A).filters if G & F == F]
+    above = [G for G in all_filters(A) if G & F == F]
     mapping = {}
     for G in above:
         mapping[G] = subset_of(proj[g] for g in iter_bits(G))
-    quotient_filters = set(all_filters(q.algebra).filters)
+    quotient_filters = set(all_filters(q.algebra))
     images = list(mapping.values())
     ok = (
         len(set(images)) == len(above)

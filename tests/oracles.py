@@ -38,7 +38,7 @@ from hilbertalg.enumeration import (
     _table_relabellers,
 )
 from hilbertalg.errors import InternalInvariantError, NotAFilterError, RangeError
-from hilbertalg.filters import FilterLattice, _by_size, _fg_with, is_implicative_filter
+from hilbertalg.filters import _by_size, _fg_with, is_implicative_filter
 from hilbertalg.quotient import Congruence
 
 
@@ -216,7 +216,7 @@ def fg_with_extra(A: FiniteHilbertAlgebra, X: int, c: int) -> int:
 # the lattice and its spectrum
 
 
-def lattice_by_extension(A: FiniteHilbertAlgebra) -> FilterLattice:
+def lattice_by_extension(A: FiniteHilbertAlgebra) -> tuple:
     """all_filters without the spectrum: Fi(A) in one BFS over one-element
     extensions (_fg_with); every filter other than {1} is reached from a
     smaller one this way."""
@@ -232,19 +232,56 @@ def lattice_by_extension(A: FiniteHilbertAlgebra) -> FilterLattice:
             if G not in found:
                 found.add(G)
                 frontier.append(G)
-    return FilterLattice(algebra=A, filters=_by_size(found))
+    return _by_size(found)
 
 
 def depth_by_pairs(A: FiniteHilbertAlgebra) -> int:
     """depth(A) by the longest chain of Spec(A), each filter scanned
     against every other: best[F] = 1 + the largest best[G] over G < F."""
-    spectrum = meet_irreducibles(A).filters
+    spectrum = meet_irreducibles(A)
     best = {}
     for F in spectrum:  # popcount order: subsets come first
         best[F] = 1 + max(
             (best[G] for G in spectrum if G != F and G & F == G),
             default=0,
         )
+    return max(best.values(), default=0)
+
+
+def strongly_below(A: FiniteHilbertAlgebra, a: int, b: int) -> bool:
+    """a < b and b -> a = a, written a << b (see depth_by_strong_chains)."""
+    return a != b and A.arrow[a][b] == A.top and A.arrow[b][a] == a
+
+
+def depth_by_strong_chains(A: FiniteHilbertAlgebra) -> int:
+    """depth(A) from the table alone, with no filter and no d_n ladder:
+    the most elements in a chain a_0 << a_1 << ... of elements below 1.
+
+    Proof.  The relation << is transitive.  A embeds in Up(Spec A), where
+    b -> a = P - down(b - a) for up-sets a, b of P = Spec A, so a << b
+    says P - a = down(b - a).  With b << c as well, down(c - a) =
+    down(c - b) | down(b - a) = (P - b) | (P - a) = P - a, so a << c.
+    Hence a <<-chain a_0 << ... << a_n below 1 has a_i -> a_j = 1 and
+    a_j -> a_i = a_i for i < j; with x -> x = 1, 1 -> x = x and x -> 1
+    = 1, the set {a_0, ..., a_n, 1} is a subuniverse, a copy of
+    chain_algebra(n + 1).  d_n fails on chain_algebra(n + 1), whose
+    depth is n + 1, and an identity that fails in a subalgebra fails in
+    A, so depth(A) > n by the main theorem.  Conversely, proof procedure
+    2 (subalgebra_from_chain) turns a chain of n + 1 members of Spec A
+    into a chain subuniverse a_0 < ... < a_n < 1 with a_j -> a_i = a_i,
+    a <<-chain of n + 1 elements.  So depth(A) is the longest <<-chain
+    below 1, and A |= d_n = 1 iff chain_algebra(n + 1) is not a
+    subalgebra of A.
+
+    Longest path over <<, the elements taken by the size of their
+    down-sets: a < b makes down(a) a proper subset of down(b), so every
+    a << b comes before b.  O(|A|^2).
+    """
+    top = A.top
+    below = [sum(row[a] == top for row in A.arrow) for a in range(A.size)]
+    best = {}
+    for b in sorted((a for a in range(A.size) if a != top), key=below.__getitem__):
+        best[b] = 1 + max((best[a] for a in best if strongly_below(A, a, b)), default=0)
     return max(best.values(), default=0)
 
 
@@ -255,10 +292,10 @@ def join(A: FiniteHilbertAlgebra, F: int, G: int) -> int:
 
 def is_meet_prime(L, F: int) -> bool:
     """F < maximum and G & H <= F forces G <= F or H <= F."""
-    if F == L.algebra.universe_mask():
+    if F == L[-1]:  # the maximum: L is sorted by size
         return False
-    for G in L.filters:
-        for H in L.filters:
+    for G in L:
+        for H in L:
             if (G & H) & ~F == 0 and G & ~F and H & ~F:
                 return False
     return True
@@ -275,7 +312,7 @@ def one_upper_cover_spectrum(A: FiniteHilbertAlgebra) -> tuple:
     minimal member iff it contains its meet).
     """
     out = []
-    for F in lattice_by_extension(A).filters:
+    for F in lattice_by_extension(A):
         extensions = {
             subset_of(b for b in range(A.size) if F >> A.arrow[a][b] & 1)
             for a in range(A.size)

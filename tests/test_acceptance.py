@@ -92,12 +92,12 @@ def test_lattice_laws(algebras):
     for size in range(1, 5):
         for A in algebras[size]:
             L = lattice_by_extension(A)
-            for G in L.filters:
-                for H in L.filters:
-                    for K in L.filters:
+            for G in L:
+                for H in L:
+                    for K in L:
                         assert G & join(A, H, K) == join(A, G & H, G & K)
-            irreducible = set(meet_irreducibles(A).filters)
-            prime = {F for F in L.filters if is_meet_prime(L, F)}
+            irreducible = set(meet_irreducibles(A))
+            prime = {F for F in L if is_meet_prime(L, F)}
             assert irreducible == prime
     _report("lattice laws (<=4 elements)")
 
@@ -106,7 +106,7 @@ def test_correspondence(algebras):
     """h : [F, A] -> Fi(A/F) is an inclusion isomorphism for every filter."""
     for size in range(1, 5):
         for A in algebras[size]:
-            for F in all_filters(A).filters:
+            for F in all_filters(A):
                 _, ok = correspondence_check(A, F)
                 assert ok
     _report("correspondence theorem (<=4 elements)")
@@ -116,8 +116,8 @@ def test_separation(algebras):
     """separate is sound, and a !<= b splits through the spectrum."""
     for size in range(1, MAX_SIZE + 1):
         for A in algebras[size]:
-            spectrum = set(meet_irreducibles(A).filters)
-            for F in all_filters(A).filters:
+            spectrum = set(meet_irreducibles(A))
+            for F in all_filters(A):
                 for a in range(A.size):
                     if F >> a & 1:
                         continue
@@ -138,7 +138,7 @@ def test_proof_procedures(algebras):
     checked = 0
     for size in range(1, MAX_SIZE + 1):
         for A in algebras[size]:
-            spectrum = set(meet_irreducibles(A).filters)
+            spectrum = set(meet_irreducibles(A))
             for n in range(MAX_N + 1):
                 ok, cex = depth_leq_via_identity(A, n)
                 if ok:

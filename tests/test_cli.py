@@ -26,6 +26,7 @@ from oracles import covers_by_scan, fan, find_isomorphism, lattice_by_extension,
 CHAIN3 = {"size": 3, "arrow": [[2, 2, 2], [0, 2, 2], [0, 1, 2]], "names": ["0", "a", "1"]}
 UNNAMED_CHAIN3 = {"size": 3, "arrow": CHAIN3["arrow"]}
 FORK = {"size": 3, "arrow": [[2, 1, 2], [0, 2, 2], [0, 1, 2]], "names": ["x", "y", "1"]}
+UNNAMED_FORK = {"size": 3, "arrow": FORK["arrow"]}
 TRIVIAL = {"size": 1, "arrow": [[0]]}
 BAD_CHAIN = {"size": 3, "arrow": [[2, 2, 2], [1, 2, 2], [0, 1, 2]]}
 
@@ -193,8 +194,8 @@ class TestAnalyze:
         assert main(["analyze", path, "--dot", out_prefix]) == 0
         A = load_algebra(path)
         for suffix, masks in (
-            ("filters", all_filters(A).filters),
-            ("spectrum", meet_irreducibles(A).filters),
+            ("filters", all_filters(A)),
+            ("spectrum", meet_irreducibles(A)),
         ):
             lines = (tmp_path / f"named-{suffix}.dot").read_text().splitlines()
             labels = [line for line in lines if "label=" in line]
@@ -221,7 +222,7 @@ class TestAnalyze:
             path.write_text(dump_algebra(A))
             assert main(["analyze", str(path), "--spectrum", "--dot", prefix]) == 0
             lines = capsys.readouterr().out.splitlines()
-            spec = meet_irreducibles(A).filters
+            spec = meet_irreducibles(A)
             comparable = [F & G in (F, G) for i, F in enumerate(spec) for G in spec[i + 1 :]]
             if not spec:
                 shape = None
@@ -250,7 +251,7 @@ class TestAnalyze:
             edges = re.findall(r"(n\d+) -> (n\d+);", text)
             assert [f"{labels[a]} < {labels[b]}" for a, b in edges] == covers
 
-            lattice = lattice_by_extension(A).filters
+            lattice = lattice_by_extension(A)
             text = (tmp_path / "out-filters.dot").read_text()
             labels = dict(re.findall(r'(n\d+) \[label="([^"]*)"\]', text))
             edges = re.findall(r"(n\d+) -> (n\d+);", text)
@@ -471,6 +472,25 @@ class TestQuotient:
         read 1 as a name and 2 as an index, and gave the trivial quotient."""
         assert main(["quotient", algebra_file(CHAIN3), "--filter", tokens]) == 1
         assert capsys.readouterr() == ("", "error: unknown element '2'\n")
+
+    @pytest.mark.parametrize(
+        "tokens, err",
+        [
+            ("0_1,2", "unknown element '0_1'"),
+            ("+1,2", "unknown element '+1'"),
+            ("\u0661,2", "unknown element '\u0661'"),  # Arabic-Indic one
+            ("\uff11,2", "unknown element '\uff11'"),  # fullwidth one
+            ("--1,2", "unknown element '--1'"),
+            ("-1,2", "element index -1 out of range [0,3)"),
+            ("3,2", "element index 3 out of range [0,3)"),
+        ],
+    )
+    def test_an_index_is_ascii_digits(self, algebra_file, capsys, tokens, err):
+        """Without names a token is an index only if it reads -?[0-9]+ in
+        ASCII.  int() also takes 0_1, +1 and other scripts' digits, and
+        the first four used to give the quotient by {1,2}."""
+        assert main(["quotient", algebra_file(UNNAMED_FORK), f"--filter={tokens}"]) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
 
     @pytest.mark.parametrize(
         "doc, tokens",

@@ -32,7 +32,14 @@ from hilbertalg import (
     subset_of,
     validate,
 )
-from hilbertalg.core import MAX_UNIVERSE, ValidationReport, _marks, iter_bits, mask_str
+from hilbertalg.core import (
+    MAX_UNIVERSE,
+    ValidationReport,
+    _Frozen,
+    _marks,
+    iter_bits,
+    mask_str,
+)
 from hilbertalg.depth_terms import (
     ChainWitness,
     DepthReport,
@@ -52,8 +59,6 @@ from hilbertalg.enumeration import (
     heyting_from_poset,
 )
 from hilbertalg.filters import (
-    FilterLattice,
-    SpectrumPoset,
     _build_spectrum,
     _class_leaders,
     all_filters,
@@ -460,20 +465,6 @@ def _value_type_cases():
             TWO_REPR,
         ),
         (
-            FilterLattice,
-            ("algebra", "filters"),
-            (A, (2, 3)),
-            (A, (3,)),
-            f"FilterLattice(algebra={TWO_REPR}, filters=(2, 3))",
-        ),
-        (
-            SpectrumPoset,
-            ("algebra", "filters"),
-            (A, (2,)),
-            (A, ()),
-            f"SpectrumPoset(algebra={TWO_REPR}, filters=(2,))",
-        ),
-        (
             Congruence,
             ("blocks", "class_of"),
             ((1, 2), (0, 1)),
@@ -546,13 +537,21 @@ def _class_functions(cls):
             yield name, attr
 
 
+def _package_modules():
+    """hilbertalg and each of its modules."""
+    return [hilbertalg] + [
+        importlib.import_module(f"hilbertalg.{info.name}")
+        for info in pkgutil.iter_modules(hilbertalg.__path__)
+    ]
+
+
 each_value_type = pytest.mark.parametrize(
     "case", VALUE_TYPE_CASES, ids=[case.cls.__name__ for case in VALUE_TYPE_CASES]
 )
 
 
 class TestValueTypes:
-    """The 13 value types are immutable, and compare, hash and print by
+    """The 11 value types are immutable, and compare, hash and print by
     their fields, exactly as @dataclass(frozen=True) made them."""
 
     @each_value_type
@@ -617,15 +616,33 @@ class TestValueTypes:
         assert FiniteHilbertAlgebra(2, TWO, 1).names is None
         assert FiniteHilbertAlgebra(2, TWO, 1) == FiniteHilbertAlgebra(2, TWO, 1, None)
 
-    def test_lattice_never_equals_spectrum(self):
+    def test_every_value_type_is_listed(self):
+        """The _Frozen subclasses defined in the package's modules are the
+        classes of VALUE_TYPE_CASES, the types README's value-type sentence
+        names, and as many as this class's docstring counts, so a type
+        added or removed leaves neither the tests nor the docs behind."""
+        defined = {
+            cls
+            for module in _package_modules()
+            for cls in vars(module).values()
+            if isinstance(cls, type)
+            and issubclass(cls, _Frozen)
+            and cls is not _Frozen
+            and cls.__module__ == module.__name__
+        }
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        sentence = re.search(r"The value types \((.*?)\)\s+are immutable", readme, flags=re.S)
+        assert {case.cls for case in VALUE_TYPE_CASES} == defined
+        assert set(re.findall(r"`(\w+)`", sentence[1])) == {cls.__name__ for cls in defined}
+        assert TestValueTypes.__doc__.startswith(f"The {len(defined)} value types ")
+
+    def test_two_types_never_compare_equal(self):
         A = chain_algebra(2)
-        filters = meet_irreducibles(A).filters
-        lattice, spectrum = FilterLattice(A, filters), SpectrumPoset(A, filters)
-        chain = ChainWitness(A, filters)
-        assert lattice != spectrum and spectrum != lattice
-        assert spectrum != chain and chain != spectrum
-        assert hash(lattice) == hash(spectrum) == hash(chain)
-        assert len({lattice, spectrum, chain}) == 3
+        elements = (0, 1)
+        chain, sub = ChainWitness(A, elements), SubalgebraChainWitness(A, elements)
+        assert chain != sub and sub != chain
+        assert hash(chain) == hash(sub)
+        assert len({chain, sub}) == 2
 
     def test_replace_as_the_corruption_demo_does(self):
         A = chain_algebra(2)
@@ -668,12 +685,8 @@ class TestValueTypes:
         """Every method of a hilbertalg class is compiled from its module's
         file: none is generated as source text and compiled with exec, as
         @dataclass(frozen=True) does for six methods of each class."""
-        modules = [hilbertalg] + [
-            importlib.import_module(f"hilbertalg.{info.name}")
-            for info in pkgutil.iter_modules(hilbertalg.__path__)
-        ]
         checked, compiled_elsewhere = 0, []
-        for module in modules:
+        for module in _package_modules():
             for cls in vars(module).values():
                 if not isinstance(cls, type) or cls.__module__ != module.__name__:
                     continue

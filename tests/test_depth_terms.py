@@ -47,11 +47,13 @@ from oracles import (
     closure_by_rounds,
     d_values_by_cells,
     depth_by_pairs,
+    depth_by_strong_chains,
     failure_sets_by_definition,
     fan,
     g_table_by_cells,
     product,
     relabelled,
+    strongly_below,
     subalgebra,
     upset_by_cells,
 )
@@ -262,7 +264,7 @@ class TestDepthIsEquational:
             for S in {closure_by_rounds(A, X) for X in range(1 << A.size)}:
                 assert depth(subalgebra(A, S)) <= d, (A.arrow, S)
                 subuniverses += 1
-            for F in all_filters(A).filters:
+            for F in all_filters(A):
                 assert depth(quotient(A, F).algebra) <= d, (A.arrow, F)
                 quotients += 1
         products = 0
@@ -271,6 +273,43 @@ class TestDepthIsEquational:
                 assert depth(product(A, B)) == max(d, e), (A.arrow, B.arrow)
                 products += 1
         assert (len(algebras), subuniverses, quotients, products) == (31, 372, 207, 961)
+
+
+class TestDepthAsStrongChains:
+    """depth against the longest chain below 1 under a << b (a < b and
+    b -> a = a), which reads neither the spectrum nor the d_n ladder
+    (oracles.depth_by_strong_chains, where the proof is)."""
+
+    def test_equals_depth(self):
+        small = [A for size in range(1, 8) for A in enumerate_hilbert(size)]
+        assert len(small) == 676
+        for A in small + ladder_set():
+            assert depth_by_strong_chains(A) == depth(A), A.arrow
+
+    @pytest.mark.slow
+    def test_equals_depth_at_eight(self):
+        algebras = enumerate_hilbert(8)
+        assert len(algebras) == 4036
+        for A in algebras:
+            assert depth_by_strong_chains(A) == depth(A), A.arrow
+
+    def test_the_witness_is_a_strong_chain(self):
+        """For every failing (A, n) with <= 6 elements, proof procedure 2
+        yields n + 1 elements below 1, each << every later one: a copy of
+        chain_algebra(n + 1), the forbidden subalgebra."""
+        pairs = 0
+        for size in range(1, 7):
+            for A in enumerate_hilbert(size):
+                for n in range(depth(A)):
+                    ok, cex = depth_leq_via_identity(A, n)
+                    assert not ok
+                    chain = chain_from_counterexample(A, cex, n)
+                    es = subalgebra_from_chain(A, chain).elements
+                    assert len(es) == n + 1 and A.top not in es
+                    for i, j in itertools.combinations(range(n + 1), 2):
+                        assert strongly_below(A, es[i], es[j]), (A.arrow, n, es)
+                    pairs += 1
+        assert pairs == 314
 
 
 class TestChainFromCounterexample:
@@ -323,7 +362,7 @@ class TestChainFromCounterexample:
     def test_invariants_exhaustive(self):
         for size in range(1, 5):
             for A in enumerate_hilbert(size):
-                spec = set(meet_irreducibles(A).filters)
+                spec = set(meet_irreducibles(A))
                 for n in range(4):
                     ok, cex = depth_leq_via_identity(A, n)
                     if ok:

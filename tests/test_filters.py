@@ -66,10 +66,10 @@ def pairwise_meet_spectrum(L):
     """The spectrum by definition: filters below the maximum that are not
     the meet of two strictly larger filters."""
     out = []
-    for F in L.filters:
-        if F == L.algebra.universe_mask():
+    for F in L:
+        if F == L[-1]:  # the maximum: L is sorted by size
             continue
-        above = [G for G in L.filters if G != F and G & F == F]
+        above = [G for G in L if G != F and G & F == F]
         if not any(G & H == F for i, G in enumerate(above) for H in above[i:]):
             out.append(F)
     return tuple(out)
@@ -177,16 +177,16 @@ class TestFgWithExtra:
 class TestDeductionTheorem:
     def test_one_row_is_the_closure(self, oracle_set):
         for A in oracle_set:
-            for F in all_filters(A).filters:
+            for F in all_filters(A):
                 for a in range(A.size):
                     assert _fg_with(A, F, a) == mp_closure(A, F | bit(a))
 
 
 class TestAllFilters:
     def test_counts(self, a2, chain3, fork):
-        assert len(all_filters(a2).filters) == 2
-        assert len(all_filters(chain3).filters) == 3
-        assert len(all_filters(fork).filters) == 4
+        assert len(all_filters(a2)) == 2
+        assert len(all_filters(chain3)) == 3
+        assert len(all_filters(fork)) == 4
 
     def test_exactly_the_filters(self, fork):
         L = all_filters(fork)
@@ -195,16 +195,16 @@ class TestAllFilters:
             for S in range(fork.universe_mask() + 1)
             if is_implicative_filter(fork, S)
         }
-        assert set(L.filters) == expected
+        assert set(L) == expected
 
     def test_bfs_agrees_with_subset_scan(self, oracle_set):
         for A in oracle_set:
             scan = (S for S in range(1 << A.size) if is_mp_closed(A, S))
-            assert all_filters(A).filters == by_size(scan), A.arrow
+            assert all_filters(A) == by_size(scan), A.arrow
 
     def test_every_filter_is_an_upset(self, fork, chain3):
         for A in (fork, chain3):
-            for F in all_filters(A).filters:
+            for F in all_filters(A):
                 for a in range(A.size):
                     if F >> a & 1:
                         assert upset_by_cells(A, a) & ~F == 0
@@ -220,8 +220,8 @@ class TestAllFilters:
         and _count_filters counts them without listing them."""
         assert len(listing_set) == 466
         for A in listing_set:
-            expected = lattice_by_extension(A).filters
-            assert all_filters(A).filters == expected, A.arrow
+            expected = lattice_by_extension(A)
+            assert all_filters(A) == expected, A.arrow
             assert _count_filters(A) == len(expected), A.arrow
 
     def test_count_past_the_listing(self):
@@ -235,35 +235,34 @@ class TestAllFilters:
         twin = FiniteHilbertAlgebra.from_table([list(row) for row in fork.arrow])
         before = (hash(fork), repr(fork))
         assert all_filters(fork) == all_filters(twin)
-        spectrum = meet_irreducibles(fork).filters
-        assert meet_irreducibles(fork).filters is spectrum
+        assert meet_irreducibles(fork) is fork._spectrum
         assert fork == twin and (hash(fork), repr(fork)) == before
         assert (hash(twin), repr(twin)) == before
 
 
 class TestSpectrum:
     def test_a2(self, a2):
-        assert meet_irreducibles(a2).filters == (subset_of([1]),)
+        assert meet_irreducibles(a2) == (subset_of([1]),)
 
     def test_chain(self, chain3):
         spec = meet_irreducibles(chain3)
-        assert spec.filters == (subset_of([2]), subset_of([1, 2]))
+        assert spec == (subset_of([2]), subset_of([1, 2]))
 
     def test_fork_excludes_bottom(self, fork):
         spec = meet_irreducibles(fork)
-        assert set(spec.filters) == {subset_of([0, 2]), subset_of([1, 2])}
+        assert set(spec) == {subset_of([0, 2]), subset_of([1, 2])}
 
     def test_agrees_with_pairwise_meets(self, oracle_set):
         fans = [fan(m) for m in range(1, 7)]
         for A in oracle_set + [chain_algebra(16)] + fans:
             L = lattice_by_extension(A)
-            assert meet_irreducibles(A).filters == pairwise_meet_spectrum(L), A.arrow
+            assert meet_irreducibles(A) == pairwise_meet_spectrum(L), A.arrow
 
     def test_agrees_with_one_upper_cover(self, oracle_set):
         # fan(12) has 4096 filters; fan(16) takes seconds, too slow here
         fans = [fan(m) for m in range(1, 13)]
         for A in oracle_set + [chain_algebra(16)] + fans:
-            assert meet_irreducibles(A).filters == one_upper_cover_spectrum(A), A.arrow
+            assert meet_irreducibles(A) == one_upper_cover_spectrum(A), A.arrow
 
     def test_meet_prime_examples(self, fork, a2):
         L = lattice_by_extension(fork)
@@ -275,8 +274,8 @@ class TestSpectrum:
         for n in range(1, 5):
             for A in enumerate_hilbert(n):
                 L = lattice_by_extension(A)
-                spec = set(meet_irreducibles(A).filters)
-                primes = {F for F in L.filters if is_meet_prime(L, F)}
+                spec = set(meet_irreducibles(A))
+                primes = {F for F in L if is_meet_prime(L, F)}
                 assert spec == primes
 
     def test_distributivity(self):
@@ -285,9 +284,9 @@ class TestSpectrum:
         for n in range(1, 5):
             for A in enumerate_hilbert(n):
                 L = lattice_by_extension(A)
-                for G in L.filters:
-                    for H in L.filters:
-                        for K in L.filters:
+                for G in L:
+                    for H in L:
+                        for K in L:
                             assert G & join(A, H, K) == join(A, G & H, G & K)
 
 
@@ -335,8 +334,8 @@ class TestSeparate:
     def test_soundness_exhaustive(self):
         for n in range(1, 5):
             for A in enumerate_hilbert(n):
-                spec = set(meet_irreducibles(A).filters)
-                for F in all_filters(A).filters:
+                spec = set(meet_irreducibles(A))
+                for F in all_filters(A):
                     for a in range(A.size):
                         if not F >> a & 1:
                             G = separate(A, F, a)
@@ -348,7 +347,7 @@ class TestSeparate:
         # a !<= b admits a spectrum member containing a, omitting b
         for n in range(1, 5):
             for A in enumerate_hilbert(n):
-                spec = meet_irreducibles(A).filters
+                spec = meet_irreducibles(A)
                 for a in range(A.size):
                     for b in range(A.size):
                         if not A.leq(a, b):
@@ -365,7 +364,7 @@ class TestSeparate:
             relabelled(A, rng.sample(range(A.size), A.size)) for A in oracle_set * 2
         ]
         for A in algebras:
-            lattice = all_filters(A).filters
+            lattice = all_filters(A)
             for E in lattice:
                 q = quotient(A, E)
                 proj = q.projection

@@ -64,7 +64,7 @@ class TestTheta:
         algebras = [A for n in range(1, 6) for A in enumerate_hilbert(n)]
         algebras += [heyting_from_poset(P)[1] for P in all_posets(5, up_to_iso=True)]
         for A in algebras:
-            for F in all_filters(A).filters:
+            for F in all_filters(A):
                 assert theta(A, F) == theta_by_cells(A, F)
 
     @pytest.mark.parametrize("name", ["chain_algebra(63)", "antichain-6 reduct"])
@@ -76,7 +76,7 @@ class TestTheta:
             antichain = Poset(6, tuple(tuple(a == b for b in range(6)) for a in range(6)))
             A = heyting_from_poset(antichain)[1]
         assert A.size == 64
-        for F in all_filters(A).filters:
+        for F in all_filters(A):
             assert theta(A, F) == theta_by_cells(A, F)
 
     def test_refuses_the_masks_cell_by_cell_theta_refuses(self):
@@ -95,7 +95,7 @@ class TestTheta:
         # reflexive/symmetric/transitive/compatible checked inside theta
         for n in range(1, 5):
             for A in enumerate_hilbert(n):
-                for F in all_filters(A).filters:
+                for F in all_filters(A):
                     theta(A, F)
 
 
@@ -193,7 +193,7 @@ class TestQuotient:
     def test_projection_is_homomorphism(self):
         for n in range(1, 5):
             for A in enumerate_hilbert(n):
-                for F in all_filters(A).filters:
+                for F in all_filters(A):
                     q = quotient(A, F)
                     p = q.projection
                     assert p[A.top] == q.algebra.top
@@ -204,7 +204,7 @@ class TestQuotient:
     def test_quotient_validates(self):
         for n in range(1, 5):
             for A in enumerate_hilbert(n):
-                for F in all_filters(A).filters:
+                for F in all_filters(A):
                     table = [list(r) for r in quotient(A, F).algebra.arrow]
                     assert validate(table).ok
 
@@ -220,7 +220,7 @@ class TestCorrespondence:
         F = subset_of([fork.top])
         mapping, ok = correspondence_check(fork, F)
         assert ok
-        assert len(mapping) == len(all_filters(fork).filters)
+        assert len(mapping) == len(all_filters(fork))
 
     def test_fork_by_principal(self, fork):
         mapping, ok = correspondence_check(fork, subset_of([0, 2]))
@@ -230,20 +230,20 @@ class TestCorrespondence:
     def test_exhaustive_small(self):
         for n in range(1, 5):
             for A in enumerate_hilbert(n):
-                for F in all_filters(A).filters:
+                for F in all_filters(A):
                     _, ok = correspondence_check(A, F)
                     assert ok
 
     def test_meet_irreducibility_transports(self):
         for n in range(1, 5):
             for A in enumerate_hilbert(n):
-                spec = set(meet_irreducibles(A).filters)
-                for F in all_filters(A).filters:
+                spec = set(meet_irreducibles(A))
+                for F in all_filters(A):
                     mapping, ok = correspondence_check(A, F)
                     assert ok
                     q = quotient(A, F)
                     quotient_spec = set(
-                        meet_irreducibles(q.algebra).filters
+                        meet_irreducibles(q.algebra)
                     )
                     assert {
                         mapping[G] for G in mapping if G in spec
