@@ -9,22 +9,26 @@ co-principal up-set Spec A - down(M): a_M is in M' iff a_M is not
 below a_M', iff M' is not inside M.  So every n-element class is an
 n-element ->-closed set of up-sets of a poset P with k < n points that
 holds all of P's co-principal up-sets, where U -> V = P - down(U - V).
-_seeded_tables(n) walks the classes of such posets level by level,
+_closed_set_walk(n) walks the classes of such posets level by level,
 closes P and its co-principal up-sets under ->, and grows the closed
 sets of at most n members above that closure one up-set at a time
-(_closed_sets), so one walk serves every size up to n.  Each set's
-table, its members numbered in ascending order so that P is the top, is
-filed under its size and keyed by its canonical form (the
-lexicographically least table over the permutations fixing the top),
-once per distinct table; the classes come out in ascending order.
-_seeded_tables alone bounds the size: past _MAX_ENUM_CAP, the largest
-size measured to finish, it refuses before it builds any poset level.
+(_closed_sets), so one walk serves every size up to n.  A set's table,
+its members numbered in ascending order so that P is the top, is built
+only for a size the caller reads: _seeded_tables files every size, and
+enumerate_hilbert(n) keeps size n.  Each distinct table is keyed by its
+canonical form (the lexicographically least table over the permutations
+fixing the top); the classes come out in ascending order.  The walk
+alone bounds the size: past _MAX_ENUM_CAP, the largest size measured to
+finish, it refuses before it builds any poset level.
 
 Posets are grown by a new maximal point and follow the orderly rule
 (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998):
 a candidate is dropped as soon as its new point cannot be the one
-chosen for deletion, a maximal point with a largest down-set.  Each
-poset left is keyed by its least code (_least_code).
+chosen for deletion, a maximal point with a largest down-set.  Of the
+candidates that a swap of two twin points of the parent maps to one
+another, only one is kept (the parent-automorphism step, restricted to
+twins; _next_classes has the argument).  Each poset left is keyed by its
+least code (_least_code).
 
 For all_posets the least poset codes of each number of points are
 cached, with the down-set masks of the posets they code, so each level
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, compress, permutations
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import MAX_UNIVERSE, FiniteHilbertAlgebra, _Frozen, bit, iter_bits, subset_of
 from .errors import RangeError, SizeLimitError
@@ -301,15 +305,38 @@ def _next_classes(classes: tuple) -> Tuple[Tuple[tuple, tuple], ...]:
     rest is isomorphic to a representative, with m above the image of
     its down-set and the other maximal points keeping theirs.  Candidates
     whose new point has a smaller down-set than a maximal point outside
-    it are skipped.  Each candidate is keyed by _least_code, and each
-    class's code is decoded once.
+    it are skipped.
+
+    So are down-sets that hold a twin y of the representative but not
+    the twin x just before it in label order (the parent-automorphism
+    step of canonical augmentation, restricted to twin swaps).  Twins,
+    points with equal strict up-sets and down-sets, are incomparable,
+    since if x < y then y is in x's strict up-set but not in its own; so
+    swapping two twins is an automorphism of the representative.  It
+    maps down-sets to down-sets and maximal points to maximal points and
+    keeps every down-set's size, so it maps a candidate that passes the
+    rule above to one that passes, with an isomorphic extension.  The
+    swaps generate the full symmetric group on each twin class, and
+    each orbit of down-sets has exactly one member holding, in each
+    class, an initial run of its points in label order: that member is
+    kept and the rest are skipped.  So every class keeps a candidate
+    and the codes are unchanged.  Each candidate is keyed by
+    _least_code, and each class's code is decoded once.
     """
     k = len(classes[0][1]) + 1
     codes = set()
     for _, down in classes:
         up = _up_masks(down)
         tops = [(y, down[y].bit_count()) for y in range(k - 1) if up[y] == 1 << y]
+        last, twins = {}, []  # twins: (x, y), y's twin just before it
+        for y in range(k - 1):
+            strict = (down[y] ^ 1 << y, up[y] ^ 1 << y)
+            if strict in last:
+                twins.append((last[strict], y))
+            last[strict] = y
         for below in _closed_masks(down):
+            if any(below >> y & 1 and not below >> x & 1 for x, y in twins):
+                continue  # a swap of twins maps it to a kept down-set
             size = below.bit_count() + 1
             if all(below >> y & 1 or s <= size for y, s in tops):
                 codes.add(_least_code(down + (below | bit(k - 1),)))
@@ -493,28 +520,41 @@ def _closed_sets(below: Sequence[int], n: int) -> List[int]:
     return sorted(seen)
 
 
-def _seeded_tables(n: int) -> Dict[int, set]:
-    """The distinct flat tables, as bytes, of the sets _closed_sets finds
-    over every class of posets with fewer than n points, filed under
-    their sizes 1..n; k points give sets of more than k members, so entry
-    m is the same for every n >= m.  Members are numbered in ascending
-    order, so P is the top.  The poset classes are built here, a level at
-    a time, not read from the _class_codes cache."""
+def _closed_set_walk(n: int) -> Iterator[Tuple[list, int]]:
+    """(below, S) for every set S that _closed_sets finds over every class
+    of posets with fewer than n points, below being the poset's
+    _down_sets.  The poset classes are built here, a level at a time,
+    not read from the _class_codes cache; past _MAX_ENUM_CAP the walk is
+    refused before it builds any poset level."""
     if n > _MAX_ENUM_CAP:
         raise SizeLimitError(f"size {n} exceeds enumeration cap {_MAX_ENUM_CAP}")
-    tables = {m: set() for m in range(1, n + 1)}
     classes = _NO_POINTS
     for k in range(n):
         if k:
             classes = _next_classes(classes)
         for _, down in classes:
             below = _down_sets(down)
-            full = len(below) - 1
             for S in _closed_sets(below, n):
-                members = list(iter_bits(S))
-                index = {U: i for i, U in enumerate(members)}
-                flat = bytes(index[full ^ below[U & ~V]] for U in members for V in members)
-                tables[len(members)].add(flat)
+                yield below, S
+
+
+def _closed_set_table(below: list, S: int) -> bytes:
+    """The flat table, as bytes, of the closed set S of up-sets, with
+    U -> V = P - below[U - V] and the members numbered in ascending
+    order, so that P is the top."""
+    full = len(below) - 1
+    members = list(iter_bits(S))
+    index = {U: i for i, U in enumerate(members)}
+    return bytes(index[full ^ below[U & ~V]] for U in members for V in members)
+
+
+def _seeded_tables(n: int) -> Dict[int, set]:
+    """The distinct flat tables of the sets _closed_set_walk(n) finds,
+    filed under their sizes 1..n; k points give sets of more than k
+    members, so entry m is the same for every n >= m."""
+    tables = {m: set() for m in range(1, n + 1)}
+    for below, S in _closed_set_walk(n):
+        tables[S.bit_count()].add(_closed_set_table(below, S))
     return tables
 
 
@@ -533,4 +573,6 @@ def enumerate_hilbert(n: int) -> List[FiniteHilbertAlgebra]:
     algebras, in ascending canonical-table order; refused past _MAX_ENUM_CAP."""
     if n < 1:
         raise RangeError("size must be at least 1")
-    return _algebras(n, _seeded_tables(n)[n])
+    walk = _closed_set_walk(n)
+    tables = {_closed_set_table(below, S) for below, S in walk if S.bit_count() == n}
+    return _algebras(n, tables)
