@@ -35,7 +35,9 @@ from hilbertalg.enumeration import (
     _code_relabellers,
     _down_masks,
     _flat_relation,
+    _least_code,
     _table_relabellers,
+    _up_masks,
 )
 from hilbertalg.errors import InternalInvariantError, NotAFilterError, RangeError
 from hilbertalg.filters import _by_size, _fg_with, is_implicative_filter
@@ -658,6 +660,22 @@ def scanned_class_codes(k: int) -> list:
         for below in _closed_masks(down):
             codes.add(least_code_by_scan(down + (below | bit(k - 1),), relabellers))
     return sorted(codes)
+
+
+def unpruned_next_classes(classes: tuple) -> tuple:
+    """enumeration._next_classes without its twin rule: every down-set of
+    every representative whose new point passes the largest-down-set
+    rule is keyed by _least_code."""
+    k = len(classes[0][1]) + 1
+    codes = set()
+    for _, down in classes:
+        up = _up_masks(down)
+        tops = [(y, down[y].bit_count()) for y in range(k - 1) if up[y] == 1 << y]
+        for below in _closed_masks(down):
+            size = below.bit_count() + 1
+            if all(below >> y & 1 or s <= size for y, s in tops):
+                codes.add(_least_code(down + (below | bit(k - 1),)))
+    return tuple((code, _down_masks(k, code)) for code in sorted(codes))
 
 
 def canonical_by_scan(flat: tuple, n: int, top: int) -> tuple:

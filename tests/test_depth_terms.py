@@ -275,6 +275,31 @@ class TestDepthIsEquational:
         assert (len(algebras), subuniverses, quotients, products) == (31, 372, 207, 961)
 
 
+    def test_quotients_by_spectrum_points(self):
+        """H through the spectrum: for every algebra with <= 6 elements and
+        every point M of its spectrum, B = A/M is subdirectly irreducible,
+        so B's spectrum has a least member; depth(A) is the largest
+        depth(B) (0 with no M); and d_n holds on A iff it holds on every
+        B, for n <= depth(A) + 1.  That is 542 pairs (A, M) and 566 pairs
+        (A, n) over 126 algebras."""
+        algebras = [A for size in range(1, 7) for A in enumerate_hilbert(size)]
+        points = checks = 0
+        for A in algebras:
+            images = [quotient(A, M).algebra for M in meet_irreducibles(A)]
+            d = depth(A)
+            assert d == max(map(depth, images), default=0), A.arrow
+            for B in images:
+                spectrum = meet_irreducibles(B)
+                assert any(all(L & M == L for M in spectrum) for L in spectrum), B.arrow
+            for n in range(d + 2):
+                holds = depth_leq_via_identity(A, n)[0]
+                on_images = all(depth_leq_via_identity(B, n)[0] for B in images)
+                assert holds == on_images, (A.arrow, n)
+            points += len(images)
+            checks += d + 2
+        assert (len(algebras), points, checks) == (126, 542, 566)
+
+
 class TestDepthAsStrongChains:
     """depth against the longest chain below 1 under a << b (a < b and
     b -> a = a), which reads neither the spectrum nor the d_n ladder

@@ -27,6 +27,7 @@ from hilbertalg.enumeration import (
     _down_sets,
     _flat_relation,
     _least_code,
+    _next_classes,
     _seeded_tables,
     _table_relabellers,
 )
@@ -47,6 +48,7 @@ from oracles import (
     posets_by_relabelling,
     scanned_class_codes,
     scanned_hilbert_classes,
+    unpruned_next_classes,
 )
 
 
@@ -122,6 +124,24 @@ def class_tables(n):
     one seeded search."""
     tables = _seeded_tables(n)
     return {m: [sum(A.arrow, ()) for A in _algebras(m, flats)] for m, flats in tables.items()}
+
+
+def least_code_calls(monkeypatch, k):
+    """How many candidates _next_classes keys with _least_code when it
+    builds the k-point classes from the (k-1)-point ones."""
+    parents = _class_codes(k - 1)
+    calls = 0
+    original = enumeration._least_code
+
+    def counted(down):
+        nonlocal calls
+        calls += 1
+        return original(down)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(enumeration, "_least_code", counted)
+        _next_classes(parents)
+    return calls
 
 
 def scanned_posets(k, up_to_iso):
@@ -245,6 +265,27 @@ class TestEnumerateHilbert:
             assert list(tables) == list(range(1, n + 1))
             for m in range(1, n + 1):
                 assert tables[m] == searches[m][m], (n, m)
+
+    def test_tables_built_only_of_the_size_read(self, monkeypatch):
+        """enumerate_hilbert(n) builds the flat table of each closed set
+        with n members and of no other: 23 at n = 5 and 663 at n = 7,
+        one per distinct table, where filing every size up to 7 builds
+        807."""
+        built = []
+        original = enumeration._closed_set_table
+
+        def counted(below, S):
+            built.append(S.bit_count())
+            return original(below, S)
+
+        monkeypatch.setattr(enumeration, "_closed_set_table", counted)
+        for n, count in ((5, 23), (7, 663)):
+            built.clear()
+            enumerate_hilbert(n)
+            assert built == [n] * count, n
+        built.clear()
+        _seeded_tables(7)
+        assert len(built) == 807
 
     def test_verify_enumerate_walks_the_posets_once(self, monkeypatch, capsys):
         """verify --enumerate 5 closes each of the 25 poset classes with
@@ -445,6 +486,30 @@ class TestPosets:
             identity = _code_relabellers(k)[0]
             for code, down in _class_codes(k):
                 assert identity(_flat_relation(down)) == code
+
+    def test_next_classes_same_as_unpruned_extension(self):
+        """The twin rule keeps the (code, down) pairs, order included, of
+        keying every candidate that passes the largest-down-set rule."""
+        for k in range(1, 8):
+            parents = _class_codes(k - 1)
+            assert _next_classes(parents) == unpruned_next_classes(parents), k
+
+    @pytest.mark.slow
+    def test_next_classes_same_as_unpruned_extension_at_eight(self):
+        parents = _class_codes(7)
+        assert _next_classes(parents) == unpruned_next_classes(parents)
+
+    def test_least_code_calls_per_level(self, monkeypatch):
+        """The twin rule leaves 5, 16, 68, 350 and 2,333 candidates to key
+        at k = 3..7, where the largest-down-set rule alone leaves 6, 21,
+        91, 462 and 2,986."""
+        calls = {k: least_code_calls(monkeypatch, k) for k in range(3, 8)}
+        assert calls == {3: 5, 4: 16, 5: 68, 6: 350, 7: 2333}
+
+    @pytest.mark.slow
+    def test_least_code_calls_at_eight(self, monkeypatch):
+        """19,622 candidates for the 16,999 classes, against 24,223."""
+        assert least_code_calls(monkeypatch, 8) == 19622
 
     def test_closed_masks_same_as_filter(self):
         """Down-sets and up-sets of every labelled poset with at most 5
