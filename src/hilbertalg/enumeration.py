@@ -19,7 +19,7 @@ enumerate_hilbert(n) keeps size n.  Each distinct table is keyed by its
 canonical form (the lexicographically least table over the permutations
 fixing the top); the classes come out in ascending order.  The walk
 alone bounds the size: past _MAX_ENUM_CAP, the largest size measured to
-finish, it refuses before it builds any poset level.
+finish, the call that starts it raises, before anything is built.
 
 Posets are grown by a new maximal point and follow the orderly rule
 (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998):
@@ -524,18 +524,23 @@ def _closed_set_walk(n: int) -> Iterator[Tuple[list, int]]:
     """(below, S) for every set S that _closed_sets finds over every class
     of posets with fewer than n points, below being the poset's
     _down_sets.  The poset classes are built here, a level at a time,
-    not read from the _class_codes cache; past _MAX_ENUM_CAP the walk is
-    refused before it builds any poset level."""
+    not read from the _class_codes cache.  Past _MAX_ENUM_CAP the call
+    itself raises, before the caller builds anything and before any
+    poset level is built."""
     if n > _MAX_ENUM_CAP:
         raise SizeLimitError(f"size {n} exceeds enumeration cap {_MAX_ENUM_CAP}")
-    classes = _NO_POINTS
-    for k in range(n):
-        if k:
-            classes = _next_classes(classes)
-        for _, down in classes:
-            below = _down_sets(down)
-            for S in _closed_sets(below, n):
-                yield below, S
+
+    def walk():
+        classes = _NO_POINTS
+        for k in range(n):
+            if k:
+                classes = _next_classes(classes)
+            for _, down in classes:
+                below = _down_sets(down)
+                for S in _closed_sets(below, n):
+                    yield below, S
+
+    return walk()
 
 
 def _closed_set_table(below: list, S: int) -> bytes:
@@ -552,8 +557,9 @@ def _seeded_tables(n: int) -> Dict[int, set]:
     """The distinct flat tables of the sets _closed_set_walk(n) finds,
     filed under their sizes 1..n; k points give sets of more than k
     members, so entry m is the same for every n >= m."""
+    walk = _closed_set_walk(n)
     tables = {m: set() for m in range(1, n + 1)}
-    for below, S in _closed_set_walk(n):
+    for below, S in walk:
         tables[S.bit_count()].add(_closed_set_table(below, S))
     return tables
 

@@ -574,6 +574,14 @@ class TestEntryPoint:
             "31 algebras checked, 155 (algebra,n) pairs, all agree"
         )
 
+    def test_refused_past_the_cap_before_the_table(self):
+        """A size far past the cap is refused before the sizes 1..N are
+        filed, so it neither hangs nor runs out of memory."""
+        for argv in (("verify", "--enumerate", str(10**12)), ("enumerate", str(10**12))):
+            done = self.run(*argv)
+            assert (done.returncode, done.stdout) == (1, "")
+            assert done.stderr == f"error: size {10**12} exceeds enumeration cap 8\n"
+
     @pytest.mark.slow
     def test_count_past_the_state_budget(self, tmp_path):
         """31 disjoint 2-chains load (63 elements), and counting their
