@@ -8,7 +8,7 @@ import sys
 from .core import MAX_UNIVERSE, mask_str, subset_of
 from .depth_terms import verify_main_theorem
 from .dot import hasse_covers, poset_dot
-from .enumeration import _MAX_ENUM_CAP, _algebras, _seeded_tables, enumerate_hilbert
+from .enumeration import _MAX_ENUM_CAP, _algebras, _tables, enumerate_hilbert
 from .errors import (
     AlgebraFileError,
     HilbertError,
@@ -106,7 +106,7 @@ def _print_report(A, report) -> None:
 def cmd_verify(args) -> int:
     nmax = args.nmax
     if args.enumerate is not None:
-        tables = _seeded_tables(args.enumerate)  # one poset walk for every size
+        tables = _tables(args.enumerate, range(1, args.enumerate + 1))  # one poset walk
         algebras = [A for size, flats in tables.items() for A in _algebras(size, flats)]
         pairs = 0
         bad = 0

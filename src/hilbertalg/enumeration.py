@@ -9,17 +9,17 @@ co-principal up-set Spec A - down(M): a_M is in M' iff a_M is not
 below a_M', iff M' is not inside M.  So every n-element class is an
 n-element ->-closed set of up-sets of a poset P with k < n points that
 holds all of P's co-principal up-sets, where U -> V = P - down(U - V).
-_closed_set_walk(n) walks the classes of such posets level by level,
+_tables(n, sizes) walks the classes of such posets level by level,
 closes P and its co-principal up-sets under ->, and grows the closed
 sets of at most n members above that closure one up-set at a time
 (_closed_sets), so one walk serves every size up to n.  A set's table,
 its members numbered in ascending order so that P is the top, is built
-only for a size the caller reads: _seeded_tables files every size, and
-enumerate_hilbert(n) keeps size n.  Each distinct table is keyed by its
-canonical form (the lexicographically least table over the permutations
-fixing the top); the classes come out in ascending order.  The walk
-alone bounds the size: past _MAX_ENUM_CAP, the largest size measured to
-finish, the call that starts it raises, before anything is built.
+only for a size in `sizes`: verify --enumerate N files every size up to
+N, and enumerate_hilbert(n) size n alone.  Each distinct table is keyed
+by its canonical form (the lexicographically least table over the
+permutations fixing the top); the classes come out in ascending order.
+_tables alone bounds the size: past _MAX_ENUM_CAP, the largest size
+measured to finish, it raises when called, before anything is built.
 
 Posets are grown by a new maximal point and follow the orderly rule
 (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998):
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, compress, permutations
 from operator import itemgetter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import MAX_UNIVERSE, FiniteHilbertAlgebra, _Frozen, bit, iter_bits, subset_of
 from .errors import RangeError, SizeLimitError
@@ -68,44 +68,40 @@ class Poset(_Frozen):
     size: int
     leq: tuple  # tuple of row tuples of bool
 
-    def __init__(self, size: int, leq: tuple):
-        self.__dict__.update(size=size, leq=leq)
+    def __init__(self, size: int, leq):
+        self.__dict__.update(size=size, leq=tuple(map(tuple, leq)))
         self.__post_init__()
 
     def __post_init__(self):
+        """Check leq and keep each point's up-set mask in __dict__ as _up,
+        not a field, so ==, hash and repr do not see it.  Row a holds iff
+        a <= a and each b >= a is not <= a unless b = a, and has its
+        up-set inside a's.  The b are taken in ascending order, so the
+        message is the one a scan of every cell (a, b, c) raises first."""
         n, leq = self.size, self.leq
         if len(leq) != n or any(len(row) != n for row in leq):
             raise RangeError(f"leq must have {n} rows of {n} entries")
         r = range(n)
-        up = [subset_of(compress(r, leq[a])) for a in r]
+        up = [subset_of(compress(r, row)) for row in leq]
         for a in r:
-            # Row a holds iff a <= a and each b >= a has its up-set inside
-            # a's and, unless b = a, is not <= a.  A row that fails is
-            # scanned cell by cell, which raises on its first bad cell.
-            row, ua = leq[a], up[a]
-            if ua >> a & 1:
-                for b in compress(r, row):
-                    if up[b] & ~ua or b != a and up[b] >> a & 1:
-                        break
-                else:
-                    continue
-            if not row[a]:
+            ua = up[a]
+            if not ua >> a & 1:
                 raise RangeError("leq is not reflexive")
-            for b in r:
-                if a != b and row[b] and leq[b][a]:
+            for b in compress(r, leq[a]):
+                if b != a and up[b] >> a & 1:
                     raise RangeError("leq is not antisymmetric")
-                for c in r:
-                    if row[b] and leq[b][c] and not row[c]:
-                        raise RangeError("leq is not transitive")
+                if up[b] & ~ua:
+                    raise RangeError("leq is not transitive")
+        self.__dict__["_up"] = up
 
     def upset_mask(self, x: int) -> int:
-        return sum(bit(y) for y in range(self.size) if self.leq[x][y])
+        return self._up[x]
 
     def longest_chain(self) -> int:
         """Maximum number of elements in a chain, 0 for the empty poset:
-        the longest chain of principal down-sets (the columns of leq)."""
-        downs = [subset_of(compress(range(self.size), col)) for col in zip(*self.leq)]
-        return _longest_chain(sorted(downs, key=int.bit_count))
+        the longest chain of principal up-sets, as x <= y iff the up-set
+        of y is inside that of x."""
+        return _longest_chain(sorted(self._up, key=int.bit_count))
 
 
 def _closed_masks(principal, cap: Optional[int] = None) -> List[int]:
@@ -363,6 +359,8 @@ def all_posets(k: int, up_to_iso: bool = False) -> List[Poset]:
     of its class's representative, so relabelling those reaches every
     code.
     """
+    if not isinstance(k, int):
+        raise RangeError("number of points must be an int")
     if k < 0:
         raise RangeError("number of points must be at least 0")
     classes = _class_codes(k)
@@ -419,7 +417,7 @@ def heyting_from_poset(P: Poset) -> Tuple[HeytingAlgebra, FiniteHilbertAlgebra]:
     A poset with more than MAX_UNIVERSE up-sets is refused while they are
     listed, before any cell is filled.
     """
-    ups = [P.upset_mask(x) for x in range(P.size)]
+    ups = P._up
     downs = _up_masks(ups)
     carrier = _closed_masks(ups, MAX_UNIVERSE)
     index = {mask: i for i, mask in enumerate(carrier)}
@@ -520,29 +518,6 @@ def _closed_sets(below: Sequence[int], n: int) -> List[int]:
     return sorted(seen)
 
 
-def _closed_set_walk(n: int) -> Iterator[Tuple[list, int]]:
-    """(below, S) for every set S that _closed_sets finds over every class
-    of posets with fewer than n points, below being the poset's
-    _down_sets.  The poset classes are built here, a level at a time,
-    not read from the _class_codes cache.  Past _MAX_ENUM_CAP the call
-    itself raises, before the caller builds anything and before any
-    poset level is built."""
-    if n > _MAX_ENUM_CAP:
-        raise SizeLimitError(f"size {n} exceeds enumeration cap {_MAX_ENUM_CAP}")
-
-    def walk():
-        classes = _NO_POINTS
-        for k in range(n):
-            if k:
-                classes = _next_classes(classes)
-            for _, down in classes:
-                below = _down_sets(down)
-                for S in _closed_sets(below, n):
-                    yield below, S
-
-    return walk()
-
-
 def _closed_set_table(below: list, S: int) -> bytes:
     """The flat table, as bytes, of the closed set S of up-sets, with
     U -> V = P - below[U - V] and the members numbered in ascending
@@ -553,14 +528,27 @@ def _closed_set_table(below: list, S: int) -> bytes:
     return bytes(index[full ^ below[U & ~V]] for U in members for V in members)
 
 
-def _seeded_tables(n: int) -> Dict[int, set]:
-    """The distinct flat tables of the sets _closed_set_walk(n) finds,
-    filed under their sizes 1..n; k points give sets of more than k
-    members, so entry m is the same for every n >= m."""
-    walk = _closed_set_walk(n)
-    tables = {m: set() for m in range(1, n + 1)}
-    for below, S in walk:
-        tables[S.bit_count()].add(_closed_set_table(below, S))
+def _tables(n: int, sizes) -> Dict[int, set]:
+    """The distinct flat tables of the closed sets of each size in
+    `sizes`, filed under their sizes in that order: the sets that
+    _closed_sets finds over every class of posets with fewer than n
+    points, with the poset levels built here, not read from the
+    _class_codes cache.  Past _MAX_ENUM_CAP it raises before anything is
+    built.  k points give sets of more than k members, so the tables of
+    a size m <= n are the same for every n."""
+    if n > _MAX_ENUM_CAP:
+        raise SizeLimitError(f"size {n} exceeds enumeration cap {_MAX_ENUM_CAP}")
+    tables = {m: set() for m in sizes}
+    classes = _NO_POINTS
+    for k in range(n):
+        if k:
+            classes = _next_classes(classes)
+        for _, down in classes:
+            below = _down_sets(down)
+            for S in _closed_sets(below, n):
+                filed = tables.get(S.bit_count())
+                if filed is not None:
+                    filed.add(_closed_set_table(below, S))
     return tables
 
 
@@ -579,6 +567,4 @@ def enumerate_hilbert(n: int) -> List[FiniteHilbertAlgebra]:
     algebras, in ascending canonical-table order; refused past _MAX_ENUM_CAP."""
     if n < 1:
         raise RangeError("size must be at least 1")
-    walk = _closed_set_walk(n)
-    tables = {_closed_set_table(below, S) for below, S in walk if S.bit_count() == n}
-    return _algebras(n, tables)
+    return _algebras(n, _tables(n, (n,))[n])

@@ -28,8 +28,8 @@ from hilbertalg.enumeration import (
     _flat_relation,
     _least_code,
     _next_classes,
-    _seeded_tables,
     _table_relabellers,
+    _tables,
 )
 from hilbertalg.errors import RangeError, SizeLimitError
 from oracles import (
@@ -122,7 +122,7 @@ def dfs_classes(n):
 def class_tables(n):
     """The canonical flat tables of the classes of each size 1..n, from
     one seeded search."""
-    tables = _seeded_tables(n)
+    tables = _tables(n, range(1, n + 1))
     return {m: [sum(A.arrow, ()) for A in _algebras(m, flats)] for m, flats in tables.items()}
 
 
@@ -254,13 +254,13 @@ class TestEnumerateHilbert:
         """How many distinct tables the seeded search keys at each size,
         one _canonical each (growth by a minimal element keys 1, 2, 7,
         28, 139 and 805)."""
-        counts = {m: len(tables) for m, tables in _seeded_tables(7).items()}
+        counts = {m: len(tables) for m, tables in _tables(7, range(1, 8)).items()}
         assert counts == {1: 1, 2: 1, 3: 2, 4: 6, 5: 23, 6: 111, 7: 663}
 
     def test_one_search_serves_every_smaller_size(self):
         """The tables of size m that one search up to size n files are the
         tables the search up to size m finds, for every m <= n <= 7."""
-        searches = {n: _seeded_tables(n) for n in range(1, 8)}
+        searches = {n: _tables(n, range(1, n + 1)) for n in range(1, 8)}
         for n, tables in searches.items():
             assert list(tables) == list(range(1, n + 1))
             for m in range(1, n + 1):
@@ -284,7 +284,7 @@ class TestEnumerateHilbert:
             enumerate_hilbert(n)
             assert built == [n] * count, n
         built.clear()
-        _seeded_tables(7)
+        _tables(7, range(1, 8))
         assert len(built) == 807
 
     def test_verify_enumerate_walks_the_posets_once(self, monkeypatch, capsys):
@@ -304,6 +304,23 @@ class TestEnumerateHilbert:
         last = capsys.readouterr().out.splitlines()[-1]
         assert last == "31 algebras checked, 155 (algebra,n) pairs, all agree"
         assert calls == {"_closed_sets": 25, "_next_classes": 4}
+
+    def test_verify_enumerate_checks_every_class_in_order(self, monkeypatch, capsys):
+        """verify --enumerate 6 checks exactly the algebras of
+        enumerate_hilbert(1), ..., enumerate_hilbert(6), in that order."""
+        checked = []
+        original = cli.verify_main_theorem
+
+        def recorded(A, nmax):
+            checked.append(A.arrow)
+            return original(A, nmax)
+
+        monkeypatch.setattr(cli, "verify_main_theorem", recorded)
+        assert cli.main(["verify", "--enumerate", "6"]) == 0
+        capsys.readouterr()
+        expected = [A.arrow for n in range(1, 7) for A in enumerate_hilbert(n)]
+        assert len(expected) == 1 + 1 + 2 + 6 + 21 + 95
+        assert checked == expected
 
     def test_grown_tables_are_algebras_with_the_seed_below(self):
         """Every table _grow yields is a Hilbert algebra with n-2 minimal
@@ -340,7 +357,7 @@ class TestEnumerateHilbert:
         a minimal element and the closure generator key, and on seeded
         relabellings of each closed-set table (top kept at n-1)."""
         rng = random.Random(9)
-        seeded, levels = _seeded_tables(5), class_tables(4)
+        seeded, levels = _tables(5, range(1, 6)), class_tables(4)
         for n in range(1, 6):
             relabellers = _table_relabellers(n)
             tables = [tuple(t) for t in seeded[n]]
@@ -410,7 +427,7 @@ class TestEnumerateHilbert:
             with pytest.raises(SizeLimitError, match=f"^size {n} exceeds enumeration cap 8$"):
                 enumerate_hilbert(n)
             with pytest.raises(SizeLimitError, match=f"^size {n} exceeds enumeration cap 8$"):
-                _seeded_tables(n)
+                _tables(n, range(1, n + 1))
 
     def test_cap_above_measured_limit_refused_before_generation(
         self, refuse_generation, capsys
@@ -452,9 +469,9 @@ class TestEnumerateHilbert:
         first, second = enumerate_hilbert(4), enumerate_hilbert(4)
         assert first is not second
         assert all(A is not B and A.arrow == B.arrow for A, B in zip(first, second))
-        before = [_seeded_tables(n) for n in range(1, 6)]
-        assert [_seeded_tables(n) for n in range(1, 6)] == before
-        assert _seeded_tables(5)[5] is not before[-1][5]
+        before = [_tables(n, range(1, n + 1)) for n in range(1, 6)]
+        assert [_tables(n, range(1, n + 1)) for n in range(1, 6)] == before
+        assert _tables(5, range(1, 6))[5] is not before[-1][5]
 
 
 class TestPosets:
@@ -472,9 +489,15 @@ class TestPosets:
         ]
 
     def test_negative_size_refused(self):
+        """A negative k, or one that is not an int, is refused; a float
+        used to recurse without end.  True counts as 1."""
         for up_to_iso in (False, True):
-            with pytest.raises(RangeError):
+            with pytest.raises(RangeError, match="^number of points must be at least 0$"):
                 all_posets(-1, up_to_iso)
+            for k in (2.5, 2.0, "3", None):
+                with pytest.raises(RangeError, match="^number of points must be an int$"):
+                    all_posets(k, up_to_iso)
+            assert all_posets(True, up_to_iso) == all_posets(1, up_to_iso)
 
     def test_class_codes_same_as_relabelling_scan(self):
         """The codes are those of the k! scan, and the masks kept beside
@@ -593,6 +616,20 @@ class TestPosets:
         assert len(posets) == 4231 + 219 + 19 + 3 + 1 + 1 + 318 + 2045
         for P in posets:
             assert P.longest_chain() == longest_chain_by_leq(P), P.leq
+
+    def test_list_rows_kept_as_tuples(self):
+        """A relation given as lists is kept as a tuple of row tuples: the
+        poset equals, hashes and prints like the one given as tuples, and
+        its rows cannot be changed after the check."""
+        rows = [[True, False], [False, True]]
+        P, Q = Poset(2, rows), Poset(2, ((True, False), (False, True)))
+        assert P.leq == Q.leq and all(type(row) is tuple for row in P.leq)
+        assert (P, hash(P), repr(P)) == (Q, hash(Q), repr(Q))
+        assert repr(P) == "Poset(size=2, leq=((True, False), (False, True)))"
+        rows[0][1] = rows[1][0] = True
+        assert P == Q and P.longest_chain() == 1
+        with pytest.raises(TypeError):
+            P.leq[0][1] = True
 
     def test_invalid_relation(self):
         with pytest.raises(RangeError):
