@@ -305,7 +305,7 @@ class TestEnumerateHilbert:
         assert last == "31 algebras checked, 155 (algebra,n) pairs, all agree"
         assert calls == {"_closed_sets": 25, "_next_classes": 4}
 
-    def test_verify_enumerate_checks_every_class_in_order(self, monkeypatch, capsys):
+    def test_verify_enumerate_checks_every_class_in_order(self, monkeypatch):
         """verify --enumerate 6 checks exactly the algebras of
         enumerate_hilbert(1), ..., enumerate_hilbert(6), in that order."""
         checked = []
@@ -317,7 +317,6 @@ class TestEnumerateHilbert:
 
         monkeypatch.setattr(cli, "verify_main_theorem", recorded)
         assert cli.main(["verify", "--enumerate", "6"]) == 0
-        capsys.readouterr()
         expected = [A.arrow for n in range(1, 7) for A in enumerate_hilbert(n)]
         assert len(expected) == 1 + 1 + 2 + 6 + 21 + 95
         assert checked == expected
