@@ -26,7 +26,6 @@ from .depth_terms import (
     verify_main_theorem,
 )
 from .enumeration import (
-    HeytingAlgebra,
     Poset,
     all_posets,
     enumerate_hilbert,
@@ -61,7 +60,6 @@ __all__ = [
     "depth_leq_via_identity",
     "subalgebra_from_chain",
     "verify_main_theorem",
-    "HeytingAlgebra",
     "Poset",
     "all_posets",
     "enumerate_hilbert",

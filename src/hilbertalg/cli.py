@@ -214,6 +214,8 @@ def main(argv=None) -> int:
             )
         if args.enumerate is not None and args.enumerate < 1:
             parser.error("--enumerate must be at least 1")
+    if args.command == "analyze" and args.dot == "":
+        parser.error("--dot needs a non-empty prefix")
     if args.command == "enumerate" and args.size < 1:
         parser.error("size must be at least 1")
     try:

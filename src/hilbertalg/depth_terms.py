@@ -162,21 +162,12 @@ class DepthReport(_Frozen):
     """depth(A) <= n against A |= d_n = 1 for each n up to a bound, with
     the least counterexample for each n where d_n fails."""
 
-    algebra: FiniteHilbertAlgebra
     depth: int
     rows: tuple  # (n, depth <= n, d_n holds, agree)
     counterexamples: dict  # n -> least failing assignment
 
-    def __init__(
-        self,
-        algebra: FiniteHilbertAlgebra,
-        depth: int,
-        rows: tuple,
-        counterexamples: dict,
-    ):
-        self.__dict__.update(
-            algebra=algebra, depth=depth, rows=rows, counterexamples=counterexamples
-        )
+    def __init__(self, depth: int, rows: tuple, counterexamples: dict):
+        self.__dict__.update(depth=depth, rows=rows, counterexamples=counterexamples)
 
     @property
     def all_agree(self) -> bool:
@@ -195,9 +186,7 @@ def verify_main_theorem(A: FiniteHilbertAlgebra, n_max: int) -> DepthReport:
         rows.append((n, d <= n, holds, (d <= n) == holds))
         if cex is not None:
             counterexamples[n] = cex
-    return DepthReport(
-        algebra=A, depth=d, rows=tuple(rows), counterexamples=counterexamples
-    )
+    return DepthReport(depth=d, rows=tuple(rows), counterexamples=counterexamples)
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +197,10 @@ def verify_main_theorem(A: FiniteHilbertAlgebra, n_max: int) -> DepthReport:
 class ChainWitness(_Frozen):
     """Strictly increasing meet-irreducible filters F_0 < ... < F_n."""
 
-    algebra: FiniteHilbertAlgebra
     filters: tuple
 
-    def __init__(self, algebra: FiniteHilbertAlgebra, filters: tuple):
-        self.__dict__.update(algebra=algebra, filters=filters)
+    def __init__(self, filters: tuple):
+        self.__dict__.update(filters=filters)
 
 
 def chain_from_counterexample(
@@ -236,7 +224,7 @@ def chain_from_counterexample(
     filters = tuple(_chain_in_interval(A, assignment, values, n))
     if not _is_spectrum_chain(A, filters):
         raise InternalInvariantError("chain is not strict in the spectrum")
-    return ChainWitness(algebra=A, filters=filters)
+    return ChainWitness(filters=filters)
 
 
 def _chain_in_interval(A, assignment, values, n):
@@ -305,11 +293,10 @@ def _is_spectrum_chain(A: FiniteHilbertAlgebra, fs: tuple) -> bool:
 class SubalgebraChainWitness(_Frozen):
     """Elements a_0 < ... < a_n < 1 forming a subuniverse with a_n outside F_0."""
 
-    algebra: FiniteHilbertAlgebra
     elements: tuple
 
-    def __init__(self, algebra: FiniteHilbertAlgebra, elements: tuple):
-        self.__dict__.update(algebra=algebra, elements=elements)
+    def __init__(self, elements: tuple):
+        self.__dict__.update(elements=elements)
 
 
 def subalgebra_from_chain(
@@ -327,10 +314,9 @@ def subalgebra_from_chain(
         raise PreconditionError("empty filter chain")
     if not _is_spectrum_chain(A, fs):
         raise PreconditionError("filter chain is not strict in the spectrum")
-    elements = _subalg_rec(A, fs)
-    witness = SubalgebraChainWitness(algebra=A, elements=tuple(elements))
-    _check_subalgebra(witness, fs[0])
-    return witness
+    elements = tuple(_subalg_rec(A, fs))
+    _check_subalgebra(A, elements, fs[0])
+    return SubalgebraChainWitness(elements=elements)
 
 
 def _subalg_rec(A, fs):
@@ -350,22 +336,20 @@ def _subalg_rec(A, fs):
     return prev + [min(iter_bits(candidates))]
 
 
-def _check_subalgebra(witness: SubalgebraChainWitness, F0: int) -> None:
-    A = witness.algebra
+def _check_subalgebra(A: FiniteHilbertAlgebra, elements: tuple, F0: int) -> None:
     arrow, top = A.arrow, A.top
-    es = witness.elements
-    if F0 >> es[-1] & 1:
+    if F0 >> elements[-1] & 1:
         raise InternalInvariantError("top chain element lies in F_0")
-    for a, b in zip(es, es[1:]):
+    for a, b in zip(elements, elements[1:]):
         if not (arrow[a][b] == top and a != b):
             raise InternalInvariantError("witness elements are not strictly increasing")
-    if top in es:
+    if top in elements:
         raise InternalInvariantError("witness chain reaches the top element")
-    for j, aj in enumerate(es):
+    for j, aj in enumerate(elements):
         for i in range(j):
-            if arrow[aj][es[i]] != es[i]:
+            if arrow[aj][elements[i]] != elements[i]:
                 raise InternalInvariantError("a_j -> a_i = a_i fails on the witness")
-    members = (*es, top)
+    members = (*elements, top)
     closed = subset_of(members)
     if any(not closed >> arrow[a][b] & 1 for a in members for b in members):
         raise InternalInvariantError("witness elements do not form a subuniverse")

@@ -18,7 +18,7 @@ def hasse_covers(items: Sequence[int], above: Callable[[int], Iterable[int]]) ->
     return covers
 
 
-def poset_dot(labels: Sequence[str], covers: Sequence[Tuple[int, int]], name: str = "poset") -> str:
+def poset_dot(labels: Sequence[str], covers: Sequence[Tuple[int, int]], name: str) -> str:
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for i, label in enumerate(labels):
         escaped = label.replace("\\", "\\\\").replace('"', '\\"')

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, compress, permutations
+from itertools import chain, combinations, compress, permutations
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -77,10 +77,16 @@ class Poset(_Frozen):
         not a field, so ==, hash and repr do not see it.  Row a holds iff
         a <= a and each b >= a is not <= a unless b = a, and has its
         up-set inside a's.  The b are taken in ascending order, so the
-        message is the one a scan of every cell (a, b, c) raises first."""
+        message is the one a scan of every cell (a, b, c) raises first.
+        A size that is not an int (a bool included) is refused before the
+        shape, and an entry that is not a bool after it, in one pass."""
         n, leq = self.size, self.leq
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise RangeError("size must be an int")
         if len(leq) != n or any(len(row) != n for row in leq):
             raise RangeError(f"leq must have {n} rows of {n} entries")
+        if not set(map(type, chain.from_iterable(leq))) <= {bool}:
+            raise RangeError("leq entries must be bools")
         r = range(n)
         up = [subset_of(compress(r, row)) for row in leq]
         for a in r:
@@ -363,6 +369,7 @@ def all_posets(k: int, up_to_iso: bool = False) -> List[Poset]:
         raise RangeError("number of points must be an int")
     if k < 0:
         raise RangeError("number of points must be at least 0")
+    k = int(k)  # True gives the posets of all_posets(1), size 1
     classes = _class_codes(k)
     if up_to_iso:
         downs = [down for _, down in classes]
@@ -388,27 +395,11 @@ def all_posets(k: int, up_to_iso: bool = False) -> List[Poset]:
 # Heyting algebras of upsets
 
 
-@dataclass(init=False, repr=False, eq=False)
-class HeytingAlgebra(_Frozen):
-    """Upsets of a poset: meet/join are intersection/union of masks,
-    arrow is the relative pseudo-complement."""
-
-    poset: Poset
-    carrier: tuple  # upset masks, ascending
-    arrow: tuple  # index table
-    top: int
-    bottom: int
-
-    def __init__(
-        self, poset: Poset, carrier: tuple, arrow: tuple, top: int, bottom: int
-    ):
-        self.__dict__.update(
-            poset=poset, carrier=carrier, arrow=arrow, top=top, bottom=bottom
-        )
-
-
-def heyting_from_poset(P: Poset) -> Tuple[HeytingAlgebra, FiniteHilbertAlgebra]:
-    """The upset algebra of P and its implication reduct.
+def heyting_from_poset(P: Poset) -> Tuple[Tuple[int, ...], FiniteHilbertAlgebra]:
+    """The upset algebra of P as (carrier, reduct): carrier is the tuple
+    of P's up-set masks, ascending, and element i of the implication
+    reduct is carrier[i].  So 0, the empty up-set, is the bottom, and
+    the last, P itself, is the top; meet and join are & and |.
 
     U -> V is the set of x with upset(x) & U <= V, that is, the points
     not below any point of U - V: P minus the down-set of U - V.  Each
@@ -421,7 +412,6 @@ def heyting_from_poset(P: Poset) -> Tuple[HeytingAlgebra, FiniteHilbertAlgebra]:
     downs = _up_masks(ups)
     carrier = _closed_masks(ups, MAX_UNIVERSE)
     index = {mask: i for i, mask in enumerate(carrier)}
-    k = len(carrier)
     full = (1 << P.size) - 1
     table = []
     for U in carrier:
@@ -432,14 +422,7 @@ def heyting_from_poset(P: Poset) -> Tuple[HeytingAlgebra, FiniteHilbertAlgebra]:
                 below |= downs[y]
             row.append(index[full & ~below])
         table.append(row)
-    heyting = HeytingAlgebra(
-        poset=P,
-        carrier=tuple(carrier),
-        arrow=tuple(tuple(r) for r in table),
-        top=k - 1,
-        bottom=0,
-    )
-    return heyting, FiniteHilbertAlgebra.from_table(table)
+    return tuple(carrier), FiniteHilbertAlgebra.from_table(table)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ class InvalidAlgebraError(HilbertError):
     Carries the ValidationReport as `report`.
     """
 
-    def __init__(self, report, message="table is not a Hilbert algebra"):
-        super().__init__(message)
+    def __init__(self, report):
+        super().__init__("table is not a Hilbert algebra")
         self.report = report
 
 

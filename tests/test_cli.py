@@ -60,6 +60,19 @@ class TestFileErrors:
         out_prefix = str(tmp_path / "no" / "such" / "dir")
         assert_error(capsys, main(["analyze", algebra_file(FORK), "--dot", out_prefix]), 1)
 
+    def test_dot_with_empty_prefix_is_usage_error(self, algebra_file, tmp_path, monkeypatch, capsys):
+        """An empty --dot prefix, as an unset $OUT gives, is refused before
+        the file is read; it used to skip the export and exit 0."""
+        path = algebra_file(FORK)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", path, "--dot", ""])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == "hilbertalg: error: --dot needs a non-empty prefix"
+        assert [p.name for p in tmp_path.iterdir()] == ["algebra.json"]
+
     @pytest.mark.parametrize("command", ["check", "analyze"])
     def test_not_utf8(self, tmp_path, capsys, command):
         path = tmp_path / "binary.json"

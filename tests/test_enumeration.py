@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import subprocess
@@ -228,8 +229,7 @@ class TestEnumerateHilbert:
             for k in range(n):
                 posets = all_posets(k, up_to_iso=True)
                 for (_, down), P in zip(_class_codes(k), posets):
-                    heyting, U = heyting_from_poset(P)
-                    carrier = heyting.carrier
+                    carrier, U = heyting_from_poset(P)
                     full = (1 << k) - 1
                     coprincipal = sum(1 << carrier.index(full & ~d) for d in down)
                     expected = sorted(
@@ -634,6 +634,25 @@ class TestPosets:
         with pytest.raises(RangeError):
             Poset(2, ((True, True), (True, True)))  # not antisymmetric
 
+    def test_size_and_entries_checked(self):
+        """A size that is not an int, a bool included, is refused before
+        the shape; an entry that is not a bool is refused after it.  Each
+        of these was once accepted or refused only by the shape message."""
+        sizes = ((True, [[1]]), (True, ((True,),)), (2.5, []), (2.0, ((True, True),) * 2))
+        for size, leq in sizes:
+            with pytest.raises(RangeError, match="^size must be an int$"):
+                Poset(size, leq)
+        for leq in ([[2, 0], [0, 3]], [[1, 0], [0, 1]], ((True, None), (False, True))):
+            with pytest.raises(RangeError, match="^leq entries must be bools$"):
+                Poset(2, leq)
+        with pytest.raises(RangeError, match="^leq must have 2 rows of 2 entries$"):
+            Poset(2, [[1, 0]])
+        P = Poset(1, ((True,),))
+        with pytest.raises(RangeError, match="^size must be an int$"):
+            dataclasses.replace(P, size=True)
+        assert repr(all_posets(True)) == repr(all_posets(1)) == f"[{P!r}]"
+        assert repr(P) == "Poset(size=1, leq=((True,),))"
+
     @staticmethod
     def _verdict(check, *args):
         try:
@@ -692,17 +711,30 @@ class TestHeytingFromPoset:
         is built cell by cell, not from all 2^63 point sets."""
         k = 63
         P = Poset(k, tuple(tuple(a <= b for b in range(k)) for a in range(k)))
-        heyting, reduct = heyting_from_poset(P)
-        assert reduct.size == len(heyting.carrier) == 64
+        carrier, reduct = heyting_from_poset(P)
+        assert reduct.size == len(carrier) == 64
         assert depth(reduct) == P.longest_chain() == 63
 
     def test_six_point_antichain(self):
         """A 6-point antichain has 64 up-sets, the largest carrier allowed:
         its reduct is built, the Boolean algebra of depth 1."""
         P = Poset(6, tuple(tuple(a == b for b in range(6)) for a in range(6)))
-        heyting, reduct = heyting_from_poset(P)
-        assert reduct.size == len(heyting.carrier) == 64
+        carrier, reduct = heyting_from_poset(P)
+        assert reduct.size == len(carrier) == 64
         assert depth(reduct) == P.longest_chain() == 1
+
+    def test_carrier_holds_bottom_and_top(self):
+        """On every class of posets with up to 6 points the carrier is a
+        strictly ascending tuple of masks from the empty up-set, the
+        reduct's 0, to P itself, the reduct's top and its last element."""
+        for k in range(7):
+            for P in all_posets(k, up_to_iso=True):
+                carrier, reduct = heyting_from_poset(P)
+                assert type(carrier) is tuple
+                assert all(U < V for U, V in zip(carrier, carrier[1:])), P.leq
+                assert carrier[0] == 0
+                assert reduct.top == len(carrier) - 1
+                assert carrier[reduct.top] == (1 << P.size) - 1
 
     def test_two_chain(self, chain3):
         P = Poset(2, ((True, True), (False, True)))
@@ -711,41 +743,34 @@ class TestHeytingFromPoset:
 
     def test_two_antichain_is_boolean(self):
         P = Poset(2, ((True, False), (False, True)))
-        heyting, reduct = heyting_from_poset(P)
+        carrier, reduct = heyting_from_poset(P)
         assert reduct.size == 4
         # complemented: every element has a complement
-        for i in range(4):
-            U = heyting.carrier[i]
-            assert any(
-                U & V == 0 and U | V == heyting.carrier[-1] for V in heyting.carrier
-            )
+        for U in carrier:
+            assert any(U & V == 0 and U | V == carrier[-1] for V in carrier)
 
     def test_residuation_law(self):
         for P in all_posets(3, up_to_iso=True):
-            heyting, _ = heyting_from_poset(P)
-            k = len(heyting.carrier)
+            carrier, reduct = heyting_from_poset(P)
+            k = len(carrier)
             for a in range(k):
                 for b in range(k):
                     for c in range(k):
-                        meets = heyting.carrier[a] & heyting.carrier[b]
-                        arrow = heyting.carrier[heyting.arrow[b][c]]
-                        assert (meets & ~heyting.carrier[c] == 0) == (
-                            heyting.carrier[a] & ~arrow == 0
-                        )
+                        meets = carrier[a] & carrier[b]
+                        arrow = carrier[reduct.arrow[b][c]]
+                        assert (meets & ~carrier[c] == 0) == (carrier[a] & ~arrow == 0)
 
     def test_same_as_cell_scan(self):
         """Carrier and table against the per-cell formula, on every class
         of posets with up to 6 points."""
         for k in range(7):
             for P in all_posets(k, up_to_iso=True):
-                heyting, reduct = heyting_from_poset(P)
-                carrier, arrow = heyting_by_cells(P)
-                assert (heyting.carrier, heyting.arrow) == (carrier, arrow), P.leq
-                assert reduct.arrow == arrow
+                carrier, reduct = heyting_from_poset(P)
+                assert (carrier, reduct.arrow) == heyting_by_cells(P), P.leq
 
     def test_upsets_are_upward_closed(self):
         for P in all_posets(3):
-            for U in heyting_from_poset(P)[0].carrier:
+            for U in heyting_from_poset(P)[0]:
                 for x in iter_bits(U):
                     assert P.upset_mask(x) & ~U == 0
 
