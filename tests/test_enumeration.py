@@ -638,8 +638,8 @@ class TestPosets:
         """A size that is not an int, a bool included, is refused before
         the shape; an entry that is not a bool is refused after it.  Each
         of these was once accepted or refused only by the shape message."""
-        sizes = ((True, [[1]]), (True, ((True,),)), (2.5, []), (2.0, ((True, True),) * 2))
-        for size, leq in sizes:
+        bad_sizes = ((True, [[1]]), (True, ((True,),)), (2.5, []), (2.0, ((True, True),) * 2))
+        for size, leq in bad_sizes:
             with pytest.raises(RangeError, match="^size must be an int$"):
                 Poset(size, leq)
         for leq in ([[2, 0], [0, 3]], [[1, 0], [0, 1]], ((True, None), (False, True))):
