@@ -336,11 +336,12 @@ class FiniteHilbertAlgebra(_Frozen):
 
     @cached_property
     def _d_ladder(self):
-        """The g table and T_0 > T_1 > ... of the d_n test, built whole on
-        first use and kept like _spectrum."""
-        from .depth_terms import _build_ladder
+        """The g table and T_0 > T_1 > ... of the d_n test, kept like
+        _spectrum: built with T_0 alone on first use, and replaced by a
+        longer prefix, never changed in place, by depth_terms._failure_sets."""
+        from .depth_terms import _start_ladder
 
-        return _build_ladder(self)
+        return _start_ladder(self)
 
     def leq(self, a: int, b: int) -> bool:
         return self.arrow[a][b] == self.top

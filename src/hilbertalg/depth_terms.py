@@ -59,13 +59,15 @@ def d_term(n: int) -> Term:
 # nonempty, and the lexicographically least counterexample is picked
 # forwards: x_0 = min T_n, then each x_k is the least x keeping the running
 # value in T_{n-k}.  The sets depend only on the number of steps left, so
-# one ladder per algebra (_build_ladder, kept as A._d_ladder) serves every
-# n; each decision then costs O(n*|A|) against |A|^(n+1).
+# one ladder per algebra (kept as A._d_ladder) serves every n.  It grows
+# only as far as a caller asks (_failure_sets): deciding d_0..d_m costs at
+# most m + 1 steps of |A|^2 cells each, once per algebra, then O(n*|A|)
+# per d_n, against |A|^(n+1) assignments.
 
 
 def _d_values(A: FiniteHilbertAlgebra, assignment: Sequence[int], n: int) -> list:
     """The values of d_0..d_n under an assignment, by folding x_1..x_n
-    through the g table of A's ladder (built on first use)."""
+    through the g table of A's ladder (built with T_0 on first use)."""
     n = max(n, 0)  # d_term(n) is x0 for every n <= 0
     if len(assignment) <= n:
         raise UnboundVariableError(
@@ -78,30 +80,19 @@ def _d_values(A: FiniteHilbertAlgebra, assignment: Sequence[int], n: int) -> lis
     return values
 
 
-def _build_ladder(A: FiniteHilbertAlgebra) -> tuple:
-    """The d_n test's tables for A, built whole, once: (g, sets).
+def _start_ladder(A: FiniteHilbertAlgebra) -> tuple:
+    """The d_n test's tables for A with T_0 alone: (g, sets, c).
 
     g[v] holds g(v, x) for every x, as bytes; sets holds T_0 > T_1 > ...
-    as masks, and T_j for every j past the last entry equals the last
-    entry.  A plain tuple, because a class here would be built at every
-    import of the package.
+    as masks; c is the string each step translates, or None once the
+    ladder is whole.  A plain tuple, because a class here would be built
+    at every import of the package.
 
     Column x of g, the values g(v, x) over v, is row x of the table (the
     map v |-> x -> v) mapped twice through column x (the map y |-> y -> x).
     bytes.translate applies each map in C, as in core.validate.  The
     columns are joined into one string c with c[x*n + v] = g(v, x), and
-    g's rows are its strided slices c[v::n].  One translate of c through
-    core._marks(T_j) marks the cells that land in T_j; read back as a
-    mask, its n blocks of n bits (one per x) are or-ed into block 0 by
-    halving shifts, ceil(log2 n) of them, which leaves T_{j+1}.
-
-    The ladder is exact without the depth theorem.  g(1, x) = ((x -> 1)
-    -> x) -> x = (1 -> x) -> x = x -> x = 1, so 1 lies in no T_{j+1} and
-    T_1 <= T_0 = A - {1}.  Taking preimages is monotone, so T_j <= T_{j-1}
-    gives T_{j+1} <= T_j, and T_{j+1} = T_j makes every later set equal to
-    it.  So the sets shrink strictly until one is empty or repeats, which
-    takes at most |A| - 1 steps, and the list stops there.  (By the
-    theorem the last set is empty, after depth(A) steps.)
+    g's rows are its strided slices c[v::n].
     """
     n = A.size
     pad = _BYTE_VALUES[n:]
@@ -111,27 +102,61 @@ def _build_ladder(A: FiniteHilbertAlgebra) -> tuple:
         columns.append(bytes(row).translate(to_x).translate(to_x))
     c = b"".join(columns)
     g = tuple(c[v::n] for v in range(n))
-    sets = [A.universe_mask() & ~bit(A.top)]
-    while sets[-1]:
+    first = A.universe_mask() & ~bit(A.top)
+    return g, (first,), c if first else None
+
+
+def _failure_sets(A: FiniteHilbertAlgebra, m: int) -> tuple:
+    """A's ladder (g, sets, c) with T_0..T_m in sets, or the whole ladder
+    if it stops sooner; T_j for every j past the last entry of a whole
+    ladder equals that entry.
+
+    The kept prefix is extended one step at a time and the longer one
+    replaces it on A, so the memo is never changed in place: threads that
+    race store correct prefixes, and a shorter one grows again when asked.
+    One translate of c through core._marks(T_j) marks the cells that land
+    in T_j; read back as a mask, its n blocks of n bits (one per x) are
+    or-ed into block 0 by halving shifts, ceil(log2 n) of them, which
+    leaves T_{j+1}.
+
+    The ladder is exact without the depth theorem.  g(1, x) = ((x -> 1)
+    -> x) -> x = (1 -> x) -> x = x -> x = 1, so 1 lies in no T_{j+1} and
+    T_1 <= T_0 = A - {1}.  Taking preimages is monotone, so T_j <= T_{j-1}
+    gives T_{j+1} <= T_j, and T_{j+1} = T_j makes every later set equal to
+    it.  So the sets shrink strictly until one is empty or repeats, which
+    takes at most |A| - 1 steps, and the ladder is whole there.  (By the
+    theorem the last set is empty, after depth(A) steps.)
+    """
+    ladder = A._d_ladder
+    g, sets, c = ladder
+    if c is None or len(sets) > m:
+        return ladder
+    n, universe = A.size, A.universe_mask()
+    sets = list(sets)
+    while c is not None and len(sets) <= m:
         target = sets[-1]
         below = int(c.translate(_marks(target))[::-1], 2)
         blocks = n
         while blocks > 1:
             blocks = (blocks + 1) // 2
             below |= below >> (blocks * n)
-        below &= A.universe_mask()
+        below &= universe
         # Checked, not assumed: a step outside the set before could cycle.
         if below & ~target:
             raise InternalInvariantError("T_{j+1} is not inside T_j")
-        if below == target:
-            break
-        sets.append(below)
-    return g, tuple(sets)
+        if below != target:
+            sets.append(below)
+        if below == target or not below:
+            c = None  # whole: every later set equals the last
+    ladder = (g, tuple(sets), c)
+    A.__dict__["_d_ladder"] = ladder
+    return ladder
 
 
 def _least_counterexample(ladder: tuple, n: int) -> Optional[tuple]:
-    """The lexicographically least assignment with d_n != 1, or None."""
-    g, sets = ladder
+    """The lexicographically least assignment with d_n != 1, or None,
+    from a ladder that reaches T_n or is whole."""
+    g, sets, _ = ladder
     last = len(sets) - 1
     start = sets[min(n, last)]
     if not start:
@@ -146,14 +171,22 @@ def _least_counterexample(ladder: tuple, n: int) -> Optional[tuple]:
     return tuple(assignment)
 
 
+def _check_int(value, name: str) -> None:
+    if not isinstance(value, int):
+        raise RangeError(f"{name} must be an int")
+
+
 def depth_leq_via_identity(
     A: FiniteHilbertAlgebra, n: int
 ) -> Tuple[bool, Optional[tuple]]:
     """Whether A |= d_n = 1, with the least counterexample on failure.
 
-    Reads the ladder kept on A, which the first call builds."""
+    The first call on A completes its ladder, so each later one only
+    reads it, whatever its n."""
+    _check_int(n, "n")
     n = max(n, 0)  # d_term(n) is x0 for every n <= 0
-    cex = _least_counterexample(A._d_ladder, n)
+    # No ladder has more than |A| sets, so asking for T_|A| gets it whole.
+    cex = _least_counterexample(_failure_sets(A, A.size), n)
     return cex is None, cex
 
 
@@ -175,9 +208,14 @@ class DepthReport(_Frozen):
 
 
 def verify_main_theorem(A: FiniteHilbertAlgebra, n_max: int) -> DepthReport:
-    """Compare depth(A) <= n against A |= d_n = 1 for every n <= n_max."""
+    """Compare depth(A) <= n against A |= d_n = 1 for every n <= n_max,
+    growing A's ladder to T_{n_max} at most.  A bound below 0 would check
+    nothing, so it is refused."""
+    _check_int(n_max, "n_max")
+    if n_max < 0:
+        raise RangeError("n_max must be at least 0")
     d = depth(A)
-    ladder = A._d_ladder
+    ladder = _failure_sets(A, n_max)
     rows = []
     counterexamples = {}
     for n in range(n_max + 1):

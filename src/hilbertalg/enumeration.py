@@ -69,22 +69,29 @@ class Poset(_Frozen):
     leq: tuple  # tuple of row tuples of bool
 
     def __init__(self, size: int, leq):
-        self.__dict__.update(size=size, leq=tuple(map(tuple, leq)))
+        self.__dict__.update(size=size, leq=leq)
         self.__post_init__()
 
     def __post_init__(self):
-        """Check leq and keep each point's up-set mask in __dict__ as _up,
-        not a field, so ==, hash and repr do not see it.  Row a holds iff
-        a <= a and each b >= a is not <= a unless b = a, and has its
-        up-set inside a's.  The b are taken in ascending order, so the
-        message is the one a scan of every cell (a, b, c) raises first.
-        A size that is not an int (a bool included) is refused before the
-        shape, and an entry that is not a bool after it, in one pass."""
-        n, leq = self.size, self.leq
+        """Store leq as row tuples, check it, and keep each point's up-set
+        mask in __dict__ as _up, not a field, so ==, hash and repr do not
+        see it.  Row a holds iff a <= a and each b >= a is not <= a unless
+        b = a, and has its up-set inside a's.  The b are taken in
+        ascending order, so the message is the one a scan of every cell
+        (a, b, c) raises first.  A size that is not an int (a bool
+        included) is refused first, then rows that cannot be read or have
+        the wrong shape, then, in one pass, any entry that is not a bool."""
+        n = self.size
         if isinstance(n, bool) or not isinstance(n, int):
             raise RangeError("size must be an int")
+        shape = f"leq must have {n} rows of {n} entries"
+        try:
+            leq = tuple(map(tuple, self.leq))
+        except TypeError:
+            raise RangeError(shape) from None
+        self.__dict__["leq"] = leq
         if len(leq) != n or any(len(row) != n for row in leq):
-            raise RangeError(f"leq must have {n} rows of {n} entries")
+            raise RangeError(shape)
         if not set(map(type, chain.from_iterable(leq))) <= {bool}:
             raise RangeError("leq entries must be bools")
         r = range(n)
@@ -140,11 +147,21 @@ def _closed_masks(principal, cap: Optional[int] = None) -> List[int]:
 
 def _longest_chain(sets: Sequence[int]) -> int:
     """Most members of a chain under inclusion among distinct masks given
-    in ascending popcount, so each set's subsets come first; 0 for none."""
-    best = []
+    in ascending popcount, so each set's subsets come first; 0 for none.
+
+    levels[h] holds the sets whose longest chain ends at them with h + 1
+    members.  A set goes one level above the highest level that holds a
+    subset of it, found by scanning down from the top: on a chain each
+    set checks one level, O(m) in all, and an antichain costs O(m^2)."""
+    levels: List[List[int]] = []
     for F in sets:
-        best.append(1 + max((b for G, b in zip(sets, best) if G & F == G), default=0))
-    return max(best, default=0)
+        h = len(levels)
+        while h and not any(G & F == G for G in levels[h - 1]):
+            h -= 1
+        if h == len(levels):
+            levels.append([])
+        levels[h].append(F)
+    return len(levels)
 
 
 def _picker(indices) -> Callable[[Sequence], tuple]:
@@ -548,6 +565,8 @@ def _algebras(n: int, tables) -> List[FiniteHilbertAlgebra]:
 def enumerate_hilbert(n: int) -> List[FiniteHilbertAlgebra]:
     """One representative per isomorphism class of n-element Hilbert
     algebras, in ascending canonical-table order; refused past _MAX_ENUM_CAP."""
+    if not isinstance(n, int):
+        raise RangeError("size must be an int")
     if n < 1:
         raise RangeError("size must be at least 1")
     return _algebras(n, _tables(n, (n,))[n])

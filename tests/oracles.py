@@ -239,12 +239,18 @@ def lattice_by_extension(A: FiniteHilbertAlgebra) -> tuple:
 
 def depth_by_pairs(A: FiniteHilbertAlgebra) -> int:
     """depth(A) by the longest chain of Spec(A), each filter scanned
-    against every other: best[F] = 1 + the largest best[G] over G < F."""
-    spectrum = meet_irreducibles(A)
+    against every other."""
+    return longest_chain_by_pairs(meet_irreducibles(A))
+
+
+def longest_chain_by_pairs(sets) -> int:
+    """The longest chain under inclusion among distinct masks given in
+    ascending popcount: best[F] = 1 + the largest best[G] over G < F,
+    every pair scanned."""
     best = {}
-    for F in spectrum:  # popcount order: subsets come first
+    for F in sets:  # popcount order: subsets come first
         best[F] = 1 + max(
-            (best[G] for G in spectrum if G != F and G & F == G),
+            (best[G] for G in sets if G != F and G & F == G),
             default=0,
         )
     return max(best.values(), default=0)

@@ -44,7 +44,7 @@ from hilbertalg.depth_terms import (
     ChainWitness,
     DepthReport,
     SubalgebraChainWitness,
-    _build_ladder,
+    _failure_sets,
     chain_from_counterexample,
     depth_leq_via_identity,
     subalgebra_from_chain,
@@ -235,7 +235,7 @@ class TestByteMapKernel:
         sys.set_int_max_str_digits(640)
         try:
             for A in (chain_algebra(63), fan(63)):
-                rows, sets = _build_ladder(A)
+                rows, sets, _ = _failure_sets(A, A.size)
                 assert [list(row) for row in rows] == g_table_by_cells(A)
                 assert list(sets) == failure_sets_by_definition(A, len(sets) - 1)
                 universe = A.universe_mask()

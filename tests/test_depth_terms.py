@@ -33,7 +33,7 @@ from hilbertalg import (
 from hilbertalg import filters
 from hilbertalg.core import bit
 from hilbertalg.cli import main
-from hilbertalg.depth_terms import _build_ladder, _check_subalgebra, _d_values
+from hilbertalg.depth_terms import _check_subalgebra, _d_values, _failure_sets
 from hilbertalg.errors import (
     InternalInvariantError,
     PreconditionError,
@@ -158,8 +158,8 @@ class TestVerifyMainTheorem:
     def test_failure_sets_stop_at_first_empty(self, trivial, fork):
         for A in (trivial, fork, chain_algebra(3), chain_algebra(16), fan(6)):
             assert depth_leq_via_identity(A, 10**6) == (True, None)
-            _, sets = A._d_ladder
-            assert len(sets) == depth(A) + 1 <= A.size
+            _, sets, c = A._d_ladder
+            assert c is None and len(sets) == depth(A) + 1 <= A.size
             assert not sets[-1]
             report = verify_main_theorem(A, 40)
             assert len(report.rows) == 41 and report.all_agree
@@ -189,7 +189,8 @@ class TestLadder:
 
     def test_against_the_cell_by_cell_table(self):
         for A in ladder_set():
-            rows, sets = A._d_ladder
+            rows, sets, c = _failure_sets(A, A.size)
+            assert c is None
             g = g_table_by_cells(A)
             assert [list(row) for row in rows] == g, A.arrow
             assert list(sets) == failure_sets_by_definition(A, len(sets) - 1)
@@ -218,12 +219,63 @@ class TestLadder:
     def test_step_check_fires_on_a_table_that_is_no_algebra(self):
         """The raw constructor skips validate.  With 3 -> 3 = 0 in the
         5-element chain, g(1, 3) = (1 -> 3) -> 3 = 3 -> 3 = 0 lies in T_0,
-        so 1 lands in T_1, outside T_0."""
+        so 1 lands in T_1, outside T_0: the first step of the growth
+        fails its check, and the kept ladder stays at T_0."""
         table = [list(row) for row in chain_algebra(4).arrow]
         table[3][3] = 0
         A = FiniteHilbertAlgebra(size=5, arrow=tuple(map(tuple, table)), top=4)
         with pytest.raises(InternalInvariantError, match=r"^T_\{j\+1\} is not inside T_j$"):
-            _build_ladder(A)
+            _failure_sets(A, 1)
+        assert A._d_ladder[1] == (0b01111,)
+
+    def test_verify_grows_the_ladder_only_to_its_bound(self):
+        """verify_main_theorem(A, 4) computes T_0..T_4 of a 64-element
+        chain and no more.  A later depth_leq_via_identity completes the
+        ladder as a fresh build does, and replaces the kept prefix, which
+        stays as it was."""
+        A = chain_algebra(63)
+        verify_main_theorem(A, 4)
+        prefix = A._d_ladder
+        assert len(prefix[1]) <= 5 and prefix[2] is not None
+        assert depth_leq_via_identity(A, 10**6) == (True, None)
+        grown = A._d_ladder
+        fresh = chain_algebra(63)
+        depth_leq_via_identity(fresh, 0)
+        assert grown is not prefix and grown[2] is None
+        assert grown[:2] == fresh._d_ladder[:2] and len(grown[1]) == 64
+        assert len(prefix[1]) <= 5 and grown[1][: len(prefix[1])] == prefix[1]
+
+    def test_results_do_not_depend_on_the_order_of_growth(self):
+        """verify_main_theorem and depth_leq_via_identity give the same
+        results on one instance whichever runs first, and the same as on
+        fresh instances, for every bound."""
+        ns = (-1, 0, 1, 2, 3, 5, 40, 10**6)
+        for A in ladder_set():
+            fresh = lambda: FiniteHilbertAlgebra(size=A.size, arrow=A.arrow, top=A.top)
+            decisions = [depth_leq_via_identity(fresh(), n) for n in ns]
+            for n_max in (0, 2, 4, 40):
+                report = verify_main_theorem(fresh(), n_max)
+                B, C = fresh(), fresh()
+                assert verify_main_theorem(B, n_max) == report, (A.arrow, n_max)
+                assert [depth_leq_via_identity(B, n) for n in ns] == decisions
+                assert [depth_leq_via_identity(C, n) for n in ns] == decisions
+                assert verify_main_theorem(C, n_max) == report, (A.arrow, n_max)
+
+    def test_bounds_must_be_ints_and_n_max_at_least_0(self):
+        """A bound that is not an int, or an n_max below 0, is refused:
+        n_max = -1 used to return no rows, which all_agree passed, and
+        2.5 raised TypeError.  n <= 0 still means d_0."""
+        A = chain_algebra(3)
+        for n_max in (-1, -10**6):
+            with pytest.raises(RangeError, match="^n_max must be at least 0$"):
+                verify_main_theorem(A, n_max)
+        for bad in (2.5, "3", None, 2.0):
+            with pytest.raises(RangeError, match="^n_max must be an int$"):
+                verify_main_theorem(A, bad)
+            with pytest.raises(RangeError, match="^n must be an int$"):
+                depth_leq_via_identity(A, bad)
+        assert "_d_ladder" not in vars(A)
+        assert depth_leq_via_identity(A, -5) == depth_leq_via_identity(A, 0) == (False, (0,))
 
     def test_memo_leaves_equality_hash_and_repr(self):
         A, B = chain_algebra(5), chain_algebra(5)

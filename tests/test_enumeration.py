@@ -28,6 +28,7 @@ from hilbertalg.enumeration import (
     _down_sets,
     _flat_relation,
     _least_code,
+    _longest_chain,
     _next_classes,
     _table_relabellers,
     _tables,
@@ -46,6 +47,7 @@ from oracles import (
     heyting_by_cells,
     least_code_by_scan,
     longest_chain_by_leq,
+    longest_chain_by_pairs,
     posets_by_relabelling,
     scanned_class_codes,
     scanned_hilbert_classes,
@@ -453,6 +455,13 @@ class TestEnumerateHilbert:
         with pytest.raises(RangeError):
             enumerate_hilbert(0)
 
+    def test_size_not_an_int_refused_before_generation(self, refuse_generation):
+        """2.5 and '3' once raised TypeError; like all_posets's k, a size
+        that is not an int is refused before any poset level is built."""
+        for n in (2.5, "3", None, 3.0):
+            with pytest.raises(RangeError, match="^size must be an int$"):
+                enumerate_hilbert(n)
+
     def test_verify_enumerate_refuses_past_the_cap_before_generation(
         self, refuse_generation, capsys
     ):
@@ -607,6 +616,31 @@ class TestPosets:
         assert antichain.longest_chain() == 1
         assert Poset(0, ()).longest_chain() == 0
 
+    def test_level_scan_against_the_all_pairs_loop(self):
+        """_longest_chain against the scan of every pair, on seeded random
+        families of distinct masks in ascending popcount: sparse and
+        dense ones, wide ones (one or two popcounts, near antichains),
+        and long chains with noise."""
+        rng = random.Random(31)
+        by_size = lambda masks: sorted(set(masks), key=lambda m: (m.bit_count(), m))
+        families = [[], [0], [5], [1, 2, 4]]
+        for _ in range(300):
+            k = rng.randint(1, 14)
+            count = rng.randint(1, 80)
+            families.append(by_size(rng.getrandbits(k) for _ in range(count)))
+            sizes = rng.sample(range(k + 1), min(2, k + 1))
+            wide = (rng.getrandbits(k) for _ in range(4 * count))
+            families.append(by_size(m for m in wide if m.bit_count() in sizes))
+            chain, m = [], 0
+            for x in rng.sample(range(k), k):
+                m |= 1 << x
+                chain.append(m)
+            families.append(by_size(chain + [rng.getrandbits(k) for _ in range(count // 4)]))
+        families.append(by_size(m for m in range(1 << 12) if m.bit_count() == 6))
+        for sets in families:
+            assert _longest_chain(sets) == longest_chain_by_pairs(sets), sets
+        assert {_longest_chain(sets) for sets in families} >= set(range(15))
+
     def test_longest_chain_against_the_leq_loop(self):
         """Every labelled poset with <= 5 points, and every class with 6
         and 7 points."""
@@ -647,6 +681,12 @@ class TestPosets:
                 Poset(2, leq)
         with pytest.raises(RangeError, match="^leq must have 2 rows of 2 entries$"):
             Poset(2, [[1, 0]])
+        # rows that cannot be read once raised TypeError
+        for leq in ([1], None, [None], 5):
+            with pytest.raises(RangeError, match="^leq must have 1 rows of 1 entries$"):
+                Poset(1, leq)
+        with pytest.raises(RangeError, match="^size must be an int$"):
+            Poset(1.5, None)
         P = Poset(1, ((True,),))
         with pytest.raises(RangeError, match="^size must be an int$"):
             dataclasses.replace(P, size=True)
