@@ -171,11 +171,6 @@ def _least_counterexample(ladder: tuple, n: int) -> Optional[tuple]:
     return tuple(assignment)
 
 
-def _check_int(value, name: str) -> None:
-    if not isinstance(value, int):
-        raise RangeError(f"{name} must be an int")
-
-
 def depth_leq_via_identity(
     A: FiniteHilbertAlgebra, n: int
 ) -> Tuple[bool, Optional[tuple]]:
@@ -183,10 +178,14 @@ def depth_leq_via_identity(
 
     The first call on A completes its ladder, so each later one only
     reads it, whatever its n."""
-    _check_int(n, "n")
+    if not isinstance(n, int):
+        raise RangeError("n must be an int")
     n = max(n, 0)  # d_term(n) is x0 for every n <= 0
-    # No ladder has more than |A| sets, so asking for T_|A| gets it whole.
-    cex = _least_counterexample(_failure_sets(A, A.size), n)
+    ladder = A._d_ladder
+    if ladder[2] is not None:  # not yet whole; later calls skip the growth
+        # No ladder has more than |A| sets, so asking for T_|A| gets it whole.
+        ladder = _failure_sets(A, A.size)
+    cex = _least_counterexample(ladder, n)
     return cex is None, cex
 
 
@@ -211,7 +210,8 @@ def verify_main_theorem(A: FiniteHilbertAlgebra, n_max: int) -> DepthReport:
     """Compare depth(A) <= n against A |= d_n = 1 for every n <= n_max,
     growing A's ladder to T_{n_max} at most.  A bound below 0 would check
     nothing, so it is refused."""
-    _check_int(n_max, "n_max")
+    if not isinstance(n_max, int):
+        raise RangeError("n_max must be an int")
     if n_max < 0:
         raise RangeError("n_max must be at least 0")
     d = depth(A)
