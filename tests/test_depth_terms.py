@@ -3,6 +3,8 @@ import itertools
 import json
 import random
 import re
+import sys
+import threading
 
 import pytest
 
@@ -260,6 +262,52 @@ class TestLadder:
                 assert [depth_leq_via_identity(B, n) for n in ns] == decisions
                 assert [depth_leq_via_identity(C, n) for n in ns] == decisions
                 assert verify_main_theorem(C, n_max) == report, (A.arrow, n_max)
+
+    def test_threads_growing_one_ladder(self):
+        """Threads racing to grow the ladders of shared algebras, switching
+        every microsecond, get the results of fresh instances, and each
+        ladder kept at the end is a prefix of the whole one."""
+        tables = [chain_algebra(40).arrow, capped_fan(30).arrow, fan(20).arrow]
+        fresh = [FiniteHilbertAlgebra.from_table(t) for t in tables]
+        whole = [_failure_sets(A, A.size)[1] for A in fresh]
+        bounds = (0, 1, 3, 7, 15, 40)
+        reports = [[verify_main_theorem(A, k) for k in bounds] for A in fresh]
+        decisions = [[depth_leq_via_identity(A, k) for k in bounds] for A in fresh]
+        rounds = [[FiniteHilbertAlgebra.from_table(t) for t in tables] for _ in range(20)]
+        barrier = threading.Barrier(8)
+        faults = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            try:
+                for shared in rounds:
+                    barrier.wait(timeout=60)
+                    for i in rng.sample(range(len(tables)), len(tables)):
+                        k = rng.randrange(len(bounds))
+                        if verify_main_theorem(shared[i], bounds[k]) != reports[i][k]:
+                            faults.append(("verify", i, bounds[k]))
+                        if rng.random() < 0.2:
+                            if depth_leq_via_identity(shared[i], bounds[k]) != decisions[i][k]:
+                                faults.append(("identity", i, bounds[k]))
+            except Exception as exc:  # recorded, so the test fails on it
+                faults.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(s,)) for s in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert faults == []
+        for shared in rounds:
+            for A, sets in zip(shared, whole):
+                kept = tuple(A._d_ladder[1])
+                assert kept == sets[: len(kept)]
 
     def test_bounds_must_be_ints_and_n_max_at_least_0(self):
         """A bound that is not an int, or an n_max below 0, is refused:
