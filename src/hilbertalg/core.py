@@ -61,6 +61,8 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def _check_mask(A, X: int) -> None:
+    if not isinstance(X, int):
+        raise RangeError("mask must be an int")
     # a negative mask has endless bits; a bit past the universe is no row
     if X < 0 or X >> A.size:
         raise RangeError(f"mask {X:#x} not inside the universe [0,{A.size})")
@@ -154,6 +156,10 @@ class Var(_Frozen):
     index: int
 
     def __init__(self, index: int):
+        if not isinstance(index, int):
+            raise RangeError("variable index must be an int")
+        if index < 0:
+            raise RangeError("variable index must be at least 0")
         self.__dict__.update(index=index)
 
 
@@ -336,12 +342,11 @@ class FiniteHilbertAlgebra(_Frozen):
 
     @cached_property
     def _d_ladder(self):
-        """The g table and T_0 > T_1 > ... of the d_n test, kept like
-        _spectrum: built with T_0 alone on first use, and replaced by a
-        longer prefix, never changed in place, by depth_terms._failure_sets."""
-        from .depth_terms import _start_ladder
+        """The g table and the whole T_0 > T_1 > ... of the d_n test, kept
+        like _spectrum: built whole on first use and never replaced."""
+        from .depth_terms import _ladder
 
-        return _start_ladder(self)
+        return _ladder(self, self.size)
 
     def leq(self, a: int, b: int) -> bool:
         return self.arrow[a][b] == self.top
@@ -369,14 +374,27 @@ class FiniteHilbertAlgebra(_Frozen):
 # term evaluation and identities
 
 
+def _check_assignment(A: FiniteHilbertAlgebra, assignment: Sequence[int]) -> None:
+    """Refuse an assignment entry that is not an element of A."""
+    for i, x in enumerate(assignment):
+        if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < A.size:
+            raise RangeError(f"x{i} = {x!r} out of range [0,{A.size})")
+
+
 def eval_term(A: FiniteHilbertAlgebra, t: Term, assignment: Sequence[int]) -> int:
+    """The value of t when each x_i is assignment[i], an element of A."""
+    _check_assignment(A, assignment)
+    return _eval(A.arrow, t, assignment)
+
+
+def _eval(arrow: tuple, t: Term, assignment: Sequence[int]) -> int:
     if isinstance(t, Var):
         if t.index >= len(assignment):
             raise UnboundVariableError(
                 f"x{t.index} unbound in assignment of length {len(assignment)}"
             )
         return assignment[t.index]
-    return A.arrow[eval_term(A, t.left, assignment)][eval_term(A, t.right, assignment)]
+    return arrow[_eval(arrow, t.left, assignment)][_eval(arrow, t.right, assignment)]
 
 
 def _term_source(t: Term) -> str:
@@ -423,6 +441,8 @@ def satisfies_identity(A: FiniteHilbertAlgebra, t: Term):
 
 def chain_algebra(m: int) -> FiniteHilbertAlgebra:
     """The Goedel chain a_0 < ... < a_{m-1} < 1 on indices 0..m (top = m)."""
+    if not isinstance(m, int):
+        raise RangeError("m must be an int")
     if m < 1:
         raise RangeError("chain_algebra needs at least one non-top element")
     n = m + 1

@@ -156,6 +156,8 @@ def separate(A: FiniteHilbertAlgebra, F: int, a: int) -> int:
     those avoiding a).
     """
     _check_mask(A, F)
+    if not isinstance(a, int):
+        raise RangeError("element index must be an int")
     if not 0 <= a < A.size:
         raise RangeError(f"element index {a} out of range [0,{A.size})")
     return _separate(A, F, a, bit(A.top))

@@ -40,8 +40,8 @@ def theta(A: FiniteHilbertAlgebra, F: int) -> Congruence:
     The class of a is the mask R[a] & T[a], where R[a] holds the b with
     a->b in F and T[a] the b with b->a in F.  R[a] is Fg(F | {a}) by the
     deduction theorem (filters._fg_with), and T is the transpose of R,
-    which _up_masks computes.  The filter test refuses a mask outside
-    the universe with RangeError.
+    which _up_masks computes.  The filter test refuses a mask that is
+    not an int or lies outside the universe with RangeError.
     """
     if not is_implicative_filter(A, F):
         raise NotAFilterError(

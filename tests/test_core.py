@@ -5,10 +5,12 @@ import enum
 import importlib
 import itertools
 import pickle
+import os
 import pkgutil
 import random
 import re
 import runpy
+import shutil
 import subprocess
 import sys
 import types
@@ -32,6 +34,7 @@ from hilbertalg import (
     subset_of,
     validate,
 )
+from hilbertalg.cli import main
 from hilbertalg.core import (
     MAX_UNIVERSE,
     ValidationReport,
@@ -44,7 +47,7 @@ from hilbertalg.depth_terms import (
     ChainWitness,
     DepthReport,
     SubalgebraChainWitness,
-    _failure_sets,
+    _ladder,
     chain_from_counterexample,
     depth_leq_via_identity,
     subalgebra_from_chain,
@@ -235,7 +238,7 @@ class TestByteMapKernel:
         sys.set_int_max_str_digits(640)
         try:
             for A in (chain_algebra(63), fan(63)):
-                rows, sets, _ = _failure_sets(A, A.size)
+                rows, sets = _ladder(A, A.size)
                 assert [list(row) for row in rows] == g_table_by_cells(A)
                 assert list(sets) == failure_sets_by_definition(A, len(sets) - 1)
                 universe = A.universe_mask()
@@ -276,6 +279,31 @@ class TestEvalTerm:
         with pytest.raises(UnboundVariableError):
             eval_term(a2, Var(2), [0, 1])
 
+    def test_entries_that_are_not_elements(self):
+        """An entry outside the universe used to index the table from its
+        end: x0 = -1 gave -1, and d_2 at (-1, -2, -3) gave the top."""
+        A = chain_algebra(3)
+        for t, assignment, named in (
+            (Var(0), (-1,), "x0 = -1 "),
+            (d_term(2), (-1, -2, -3), "x0 = -1 "),
+            (d_term(1), (0, 4), "x1 = 4 "),
+            (Var(0), (0, "1"), "x1 = '1' "),
+            (Var(0), (True,), "x0 = True "),
+        ):
+            with pytest.raises(RangeError, match=f"^{named}out of range \\[0,4\\)$"):
+                eval_term(A, t, assignment)
+
+    @pytest.mark.parametrize(
+        "index, message",
+        [(-1, "at least 0"), (-7, "at least 0"), (2.5, "an int"), ("0", "an int"), (None, "an int")],
+    )
+    def test_variable_index_must_be_an_int_at_least_0(self, index, message):
+        """Var(-1) used to read the last entry of an assignment."""
+        with pytest.raises(RangeError, match=f"^variable index must be {message}$"):
+            Var(index)
+        with pytest.raises(RangeError, match=f"^variable index must be {message}$"):
+            dataclasses.replace(Var(0), index=index)
+
 
 class TestSatisfiesIdentity:
     def test_a2_validates_d1(self, a2):
@@ -288,6 +316,11 @@ class TestSatisfiesIdentity:
 
     def test_chain_validates_d2(self, chain3):
         assert satisfies_identity(chain3, d_term(2))[0]
+
+    def test_negative_variable_refused_before_compiling(self):
+        """x-1 used to compile as x - 1 and raise NameError."""
+        with pytest.raises(RangeError, match="^variable index must be at least 0$"):
+            satisfies_identity(chain_algebra(3), Imp(Var(0), Var(-1)))
 
     def test_agrees_with_eval_term_scan(self, a2, chain3, fork):
         x0, x1, x2 = Var(0), Var(1), Var(2)
@@ -374,6 +407,11 @@ class TestChainAlgebra:
     def test_needs_one_element(self):
         with pytest.raises(RangeError):
             chain_algebra(0)
+
+    @pytest.mark.parametrize("m", [2.5, "3", None])
+    def test_m_must_be_an_int(self, m):
+        with pytest.raises(RangeError, match="^m must be an int$"):
+            chain_algebra(m)
 
 
 @pytest.mark.parametrize(
@@ -785,3 +823,53 @@ def test_only_stdlib_imports():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def _python_floor() -> tuple:
+    """The oldest Python that requires-python in pyproject.toml admits."""
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "pyproject.toml").read_text(encoding="utf-8")
+    found = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, flags=re.M)
+    return tuple(map(int, found.groups()))
+
+
+def test_sources_parse_at_the_python_floor():
+    """Every module of the package parses with the grammar of the oldest
+    Python that requires-python admits, so syntax that only a later
+    version reads fails here."""
+    floor = _python_floor()
+    package = Path(hilbertalg.__file__).resolve().parent
+    paths = sorted(package.rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=floor)
+
+
+def test_cli_runs_under_the_python_floor(capsys):
+    """`hilbertalg verify --enumerate 5` under the oldest Python that
+    requires-python admits, with every warning an error, prints what it
+    prints here and exits alike.  Skipped when no working interpreter of
+    that version is on PATH."""
+    floor = _python_floor()
+    name = "python%d.%d" % floor
+    exe = shutil.which(name)
+    if exe is not None:
+        probe = subprocess.run(
+            [exe, "-c", "import sys; print(tuple(sys.version_info[:2]))"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+    if exe is None or probe.returncode or probe.stdout != f"{floor}\n":
+        pytest.skip(f"no working {name} on PATH")
+    src = str(Path(hilbertalg.__file__).resolve().parents[1])
+    argv = ["verify", "--enumerate", "5"]
+    done = subprocess.run(
+        [exe, "-B", "-W", "error", "-m", "hilbertalg.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    code = main(argv)
+    assert (done.returncode, done.stderr, done.stdout) == (code, "", capsys.readouterr().out)

@@ -32,10 +32,10 @@ from hilbertalg import (
     subset_of,
     verify_main_theorem,
 )
-from hilbertalg import filters
+from hilbertalg import depth_terms, filters
 from hilbertalg.core import bit
 from hilbertalg.cli import main
-from hilbertalg.depth_terms import _check_subalgebra, _d_values, _failure_sets
+from hilbertalg.depth_terms import _check_subalgebra, _d_values, _ladder
 from hilbertalg.errors import (
     InternalInvariantError,
     PreconditionError,
@@ -77,6 +77,11 @@ class TestDTerm:
 
         for n in range(5):
             assert term_width(d_term(n)) == n + 1
+
+    @pytest.mark.parametrize("n", [2.5, "3", None])
+    def test_n_must_be_an_int(self, n):
+        with pytest.raises(RangeError, match="^n must be an int$"):
+            d_term(n)
 
 
 class TestDepthViaIdentity:
@@ -160,8 +165,8 @@ class TestVerifyMainTheorem:
     def test_failure_sets_stop_at_first_empty(self, trivial, fork):
         for A in (trivial, fork, chain_algebra(3), chain_algebra(16), fan(6)):
             assert depth_leq_via_identity(A, 10**6) == (True, None)
-            _, sets, c = A._d_ladder
-            assert c is None and len(sets) == depth(A) + 1 <= A.size
+            _, sets = A._d_ladder
+            assert len(sets) == depth(A) + 1 <= A.size
             assert not sets[-1]
             report = verify_main_theorem(A, 40)
             assert len(report.rows) == 41 and report.all_agree
@@ -191,8 +196,7 @@ class TestLadder:
 
     def test_against_the_cell_by_cell_table(self):
         for A in ladder_set():
-            rows, sets, c = _failure_sets(A, A.size)
-            assert c is None
+            rows, sets = A._d_ladder
             g = g_table_by_cells(A)
             assert [list(row) for row in rows] == g, A.arrow
             assert list(sets) == failure_sets_by_definition(A, len(sets) - 1)
@@ -221,31 +225,64 @@ class TestLadder:
     def test_step_check_fires_on_a_table_that_is_no_algebra(self):
         """The raw constructor skips validate.  With 3 -> 3 = 0 in the
         5-element chain, g(1, 3) = (1 -> 3) -> 3 = 3 -> 3 = 0 lies in T_0,
-        so 1 lands in T_1, outside T_0: the first step of the growth
-        fails its check, and the kept ladder stays at T_0."""
+        so 1 lands in T_1, outside T_0: the first step fails its check,
+        whether a bounded ladder or the kept one is built, and no ladder
+        is kept."""
         table = [list(row) for row in chain_algebra(4).arrow]
         table[3][3] = 0
         A = FiniteHilbertAlgebra(size=5, arrow=tuple(map(tuple, table)), top=4)
+        assert _ladder(A, 0)[1] == (0b01111,)
         with pytest.raises(InternalInvariantError, match=r"^T_\{j\+1\} is not inside T_j$"):
-            _failure_sets(A, 1)
-        assert A._d_ladder[1] == (0b01111,)
+            _ladder(A, 1)
+        with pytest.raises(InternalInvariantError, match=r"^T_\{j\+1\} is not inside T_j$"):
+            A._d_ladder
+        assert "_d_ladder" not in vars(A)
 
-    def test_verify_grows_the_ladder_only_to_its_bound(self):
+    def test_verify_grows_the_ladder_only_to_its_bound(self, monkeypatch):
         """verify_main_theorem(A, 4) computes T_0..T_4 of a 64-element
-        chain and no more.  A later depth_leq_via_identity completes the
-        ladder as a fresh build does, and replaces the kept prefix, which
-        stays as it was."""
+        chain and no more, and keeps none of it.  The whole ladder that
+        depth_leq_via_identity keeps later starts with that prefix."""
+        built = []
+
+        def record(A, m):
+            built.append(_ladder(A, m))
+            return built[-1]
+
+        monkeypatch.setattr(depth_terms, "_ladder", record)
         A = chain_algebra(63)
         verify_main_theorem(A, 4)
-        prefix = A._d_ladder
-        assert len(prefix[1]) <= 5 and prefix[2] is not None
+        [prefix] = built
+        assert len(prefix[1]) == 5 and "_d_ladder" not in vars(A)
         assert depth_leq_via_identity(A, 10**6) == (True, None)
-        grown = A._d_ladder
-        fresh = chain_algebra(63)
-        depth_leq_via_identity(fresh, 0)
-        assert grown is not prefix and grown[2] is None
-        assert grown[:2] == fresh._d_ladder[:2] and len(grown[1]) == 64
-        assert len(prefix[1]) <= 5 and grown[1][: len(prefix[1])] == prefix[1]
+        whole = vars(A)["_d_ladder"]
+        assert len(whole[1]) == 64 and whole[0] == prefix[0]
+        assert whole[1][:5] == prefix[1]
+
+    def test_every_bounded_ladder_is_a_prefix_of_the_whole_one(self):
+        """_ladder(A, m) holds g and T_0..T_m of the kept ladder, or all of
+        it where the whole ladder is shorter, for every m up to |A|."""
+        for A in ladder_set():
+            g, sets = A._d_ladder
+            for m in range(A.size + 1):
+                assert _ladder(A, m) == (g, sets[: m + 1]), (A.arrow, m)
+
+    def test_verify_keeps_no_ladder_and_builds_only_to_its_bound(self, monkeypatch):
+        """verify_main_theorem on a fresh instance asks for T_0..T_{n_max}
+        alone and leaves no ladder on it, so its report depends only on
+        the algebra and the bound."""
+        asked = []
+
+        def record(A, m):
+            asked.append(m)
+            return _ladder(A, m)
+
+        monkeypatch.setattr(depth_terms, "_ladder", record)
+        for A in ladder_set():
+            for n_max in (0, 2, 4, 40):
+                fresh = FiniteHilbertAlgebra(size=A.size, arrow=A.arrow, top=A.top)
+                asked.clear()
+                verify_main_theorem(fresh, n_max)
+                assert asked == [n_max] and "_d_ladder" not in vars(fresh), A.arrow
 
     def test_results_do_not_depend_on_the_order_of_growth(self):
         """verify_main_theorem and depth_leq_via_identity give the same
@@ -264,12 +301,12 @@ class TestLadder:
                 assert verify_main_theorem(C, n_max) == report, (A.arrow, n_max)
 
     def test_threads_growing_one_ladder(self):
-        """Threads racing to grow the ladders of shared algebras, switching
+        """Threads racing to build the ladders of shared algebras, switching
         every microsecond, get the results of fresh instances, and each
-        ladder kept at the end is a prefix of the whole one."""
+        ladder kept at the end is the whole one."""
         tables = [chain_algebra(40).arrow, capped_fan(30).arrow, fan(20).arrow]
         fresh = [FiniteHilbertAlgebra.from_table(t) for t in tables]
-        whole = [_failure_sets(A, A.size)[1] for A in fresh]
+        whole = [_ladder(A, A.size) for A in fresh]
         bounds = (0, 1, 3, 7, 15, 40)
         reports = [[verify_main_theorem(A, k) for k in bounds] for A in fresh]
         decisions = [[depth_leq_via_identity(A, k) for k in bounds] for A in fresh]
@@ -304,10 +341,13 @@ class TestLadder:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert faults == []
-        for shared in rounds:
-            for A, sets in zip(shared, whole):
-                kept = tuple(A._d_ladder[1])
-                assert kept == sets[: len(kept)]
+        kept = [
+            (vars(A)["_d_ladder"], ladder)
+            for shared in rounds
+            for A, ladder in zip(shared, whole)
+            if "_d_ladder" in vars(A)
+        ]
+        assert kept and all(ladder == expected for ladder, expected in kept)
 
     def test_bounds_must_be_ints_and_n_max_at_least_0(self):
         """A bound that is not an int, or an n_max below 0, is refused:
@@ -473,6 +513,11 @@ class TestChainFromCounterexample:
         ):
             with pytest.raises(RangeError, match=named):
                 chain_from_counterexample(A, assignment, 1)
+
+    @pytest.mark.parametrize("n", [2.5, "2", None])
+    def test_n_must_be_an_int(self, n):
+        with pytest.raises(RangeError, match="^n must be an int$"):
+            chain_from_counterexample(chain_algebra(3), (0, 1, 2), n)
 
     def test_negative_n_round_trip(self):
         # d_term(n) is x0 for every n <= 0, so n = -1 is the n = 0 case

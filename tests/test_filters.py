@@ -95,6 +95,11 @@ class TestIsImplicativeFilter:
         with pytest.raises(RangeError, match="not inside the universe"):
             is_implicative_filter(chain_algebra(3), S)
 
+    @pytest.mark.parametrize("S", ["8", 2.5, None])
+    def test_mask_must_be_an_int(self, S):
+        with pytest.raises(RangeError, match="^mask must be an int$"):
+            is_implicative_filter(chain_algebra(3), S)
+
 
 class TestFgClosure:
     def test_principal(self, chain3):
@@ -112,6 +117,11 @@ class TestFgClosure:
     def test_mask_outside_the_universe(self, X):
         with pytest.raises(RangeError, match="not inside the universe"):
             fg_closure(chain_algebra(3), X)
+
+    @pytest.mark.parametrize("X", ["8", 2.5, None])
+    def test_mask_must_be_an_int(self, X):
+        with pytest.raises(RangeError, match="^mask must be an int$"):
+            fg_closure(chain_algebra(8), X)
 
     def test_same_as_the_definition(self, oracle_set):
         """fg_closure and is_implicative_filter, which fold the deduction
@@ -314,6 +324,14 @@ class TestSeparate:
     def test_precondition(self, chain3):
         with pytest.raises(PreconditionError):
             separate(chain3, subset_of([1, 2]), 1)
+
+    @pytest.mark.parametrize("a", [2.5, "3", None])
+    def test_element_must_be_an_int(self, a):
+        """2.5 passed the range check and raised TypeError in a shift."""
+        with pytest.raises(RangeError, match="^element index must be an int$"):
+            separate(chain_algebra(8), 1 << 8, a)
+        with pytest.raises(RangeError, match="^mask must be an int$"):
+            separate(chain_algebra(8), 2.5, 0)
 
     @pytest.mark.parametrize(
         "F, a, message",

@@ -58,6 +58,11 @@ class TestTheta:
         with pytest.raises(RangeError, match="not inside the universe"):
             theta(chain_algebra(3), F)
 
+    @pytest.mark.parametrize("F", ["8", 2.5, None])
+    def test_mask_must_be_an_int(self, F):
+        with pytest.raises(RangeError, match="^mask must be an int$"):
+            theta(chain_algebra(3), F)
+
     def test_same_as_cell_by_cell_theta(self):
         """On every filter of the algebras with <= 5 elements and of the
         upset reducts of the 5-point posets."""
@@ -172,6 +177,11 @@ class TestQuotient:
     @pytest.mark.parametrize("F", [-1, 1 << 4, 1 << 9])
     def test_mask_outside_the_universe(self, F):
         with pytest.raises(RangeError, match="not inside the universe"):
+            quotient(chain_algebra(3), F)
+
+    @pytest.mark.parametrize("F", ["8", 2.5, None])
+    def test_mask_must_be_an_int(self, F):
+        with pytest.raises(RangeError, match="^mask must be an int$"):
             quotient(chain_algebra(3), F)
 
     def test_collapse_to_a2(self, chain3, a2):
