@@ -60,9 +60,16 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_int(value, what: str, least: Optional[int] = None) -> None:
+    """Refuse a value that is not an int (a bool is one) or is below least."""
+    if not isinstance(value, int):
+        raise RangeError(f"{what} must be an int")
+    if least is not None and value < least:
+        raise RangeError(f"{what} must be at least {least}")
+
+
 def _check_mask(A, X: int) -> None:
-    if not isinstance(X, int):
-        raise RangeError("mask must be an int")
+    _check_int(X, "mask")
     # a negative mask has endless bits; a bit past the universe is no row
     if X < 0 or X >> A.size:
         raise RangeError(f"mask {X:#x} not inside the universe [0,{A.size})")
@@ -156,10 +163,7 @@ class Var(_Frozen):
     index: int
 
     def __init__(self, index: int):
-        if not isinstance(index, int):
-            raise RangeError("variable index must be an int")
-        if index < 0:
-            raise RangeError("variable index must be at least 0")
+        _check_int(index, "variable index", 0)
         self.__dict__.update(index=index)
 
 
@@ -441,8 +445,7 @@ def satisfies_identity(A: FiniteHilbertAlgebra, t: Term):
 
 def chain_algebra(m: int) -> FiniteHilbertAlgebra:
     """The Goedel chain a_0 < ... < a_{m-1} < 1 on indices 0..m (top = m)."""
-    if not isinstance(m, int):
-        raise RangeError("m must be an int")
+    _check_int(m, "m")
     if m < 1:
         raise RangeError("chain_algebra needs at least one non-top element")
     n = m + 1

@@ -26,6 +26,7 @@ from .core import (
     Term,
     Var,
     _check_assignment,
+    _check_int,
     _marks,
     bit,
     iter_bits,
@@ -34,7 +35,6 @@ from .core import (
 from .errors import (
     InternalInvariantError,
     PreconditionError,
-    RangeError,
     UnboundVariableError,
 )
 from .filters import _fg_with, _separate, depth
@@ -42,8 +42,7 @@ from .filters import _fg_with, _separate, depth
 
 def d_term(n: int) -> Term:
     """d_0 = x0;  d_{k+1} = ((x_{k+1} -> d_k) -> x_{k+1}) -> x_{k+1}."""
-    if not isinstance(n, int):
-        raise RangeError("n must be an int")
+    _check_int(n, "n")
     t: Term = Var(0)
     for k in range(1, n + 1):
         x = Var(k)
@@ -158,8 +157,7 @@ def depth_leq_via_identity(
 ) -> Tuple[bool, Optional[tuple]]:
     """Whether A |= d_n = 1, with the least counterexample on failure,
     read off A's whole ladder, which the first call builds."""
-    if not isinstance(n, int):
-        raise RangeError("n must be an int")
+    _check_int(n, "n")
     n = max(n, 0)  # d_term(n) is x0 for every n <= 0
     cex = _least_counterexample(A._d_ladder, n)
     return cex is None, cex
@@ -186,10 +184,7 @@ def verify_main_theorem(A: FiniteHilbertAlgebra, n_max: int) -> DepthReport:
     """Compare depth(A) <= n against A |= d_n = 1 for every n <= n_max,
     from the ladder's prefix T_0..T_{n_max}, which is built here and not
     kept on A.  A bound below 0 would check nothing, so it is refused."""
-    if not isinstance(n_max, int):
-        raise RangeError("n_max must be an int")
-    if n_max < 0:
-        raise RangeError("n_max must be at least 0")
+    _check_int(n_max, "n_max", 0)
     d = depth(A)
     ladder = _ladder(A, n_max)
     rows = []
@@ -227,8 +222,7 @@ def chain_from_counterexample(
     The recursion is run inside A (see _chain_in_interval), so each
     member comes out as a filter of A.
     """
-    if not isinstance(n, int):
-        raise RangeError("n must be an int")
+    _check_int(n, "n")
     n = max(n, 0)  # d_term(n) is x0 for every n <= 0
     assignment = tuple(assignment)
     _check_assignment(A, assignment)

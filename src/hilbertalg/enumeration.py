@@ -46,7 +46,7 @@ from itertools import chain, combinations, compress, permutations
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .core import MAX_UNIVERSE, FiniteHilbertAlgebra, _Frozen, bit, iter_bits, subset_of
+from .core import MAX_UNIVERSE, FiniteHilbertAlgebra, _Frozen, _check_int, bit, iter_bits, subset_of
 from .errors import RangeError, SizeLimitError
 
 # The largest size the generator is measured to finish: size 7 takes
@@ -382,10 +382,7 @@ def all_posets(k: int, up_to_iso: bool = False) -> List[Poset]:
     of its class's representative, so relabelling those reaches every
     code.
     """
-    if not isinstance(k, int):
-        raise RangeError("number of points must be an int")
-    if k < 0:
-        raise RangeError("number of points must be at least 0")
+    _check_int(k, "number of points", 0)
     k = int(k)  # True gives the posets of all_posets(1), size 1
     classes = _class_codes(k)
     if up_to_iso:
@@ -565,8 +562,5 @@ def _algebras(n: int, tables) -> List[FiniteHilbertAlgebra]:
 def enumerate_hilbert(n: int) -> List[FiniteHilbertAlgebra]:
     """One representative per isomorphism class of n-element Hilbert
     algebras, in ascending canonical-table order; refused past _MAX_ENUM_CAP."""
-    if not isinstance(n, int):
-        raise RangeError("size must be an int")
-    if n < 1:
-        raise RangeError("size must be at least 1")
+    _check_int(n, "size", 1)
     return _algebras(n, _tables(n, (n,))[n])

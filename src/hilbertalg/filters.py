@@ -12,6 +12,7 @@ from operator import and_
 
 from .core import (
     FiniteHilbertAlgebra,
+    _check_int,
     _check_mask,
     _marks,
     bit,
@@ -156,8 +157,7 @@ def separate(A: FiniteHilbertAlgebra, F: int, a: int) -> int:
     those avoiding a).
     """
     _check_mask(A, F)
-    if not isinstance(a, int):
-        raise RangeError("element index must be an int")
+    _check_int(a, "element index")
     if not 0 <= a < A.size:
         raise RangeError(f"element index {a} out of range [0,{A.size})")
     return _separate(A, F, a, bit(A.top))

@@ -303,6 +303,9 @@ class TestEvalTerm:
             Var(index)
         with pytest.raises(RangeError, match=f"^variable index must be {message}$"):
             dataclasses.replace(Var(0), index=index)
+        # a bool is an int: x_True is x1
+        assert Var(True) == Var(1)
+        assert eval_term(chain_algebra(3), Var(True), (0, 2)) == 2
 
 
 class TestSatisfiesIdentity:
@@ -412,6 +415,7 @@ class TestChainAlgebra:
     def test_m_must_be_an_int(self, m):
         with pytest.raises(RangeError, match="^m must be an int$"):
             chain_algebra(m)
+        assert chain_algebra(True) == chain_algebra(1)
 
 
 @pytest.mark.parametrize(

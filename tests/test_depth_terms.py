@@ -82,6 +82,7 @@ class TestDTerm:
     def test_n_must_be_an_int(self, n):
         with pytest.raises(RangeError, match="^n must be an int$"):
             d_term(n)
+        assert d_term(True) == d_term(1)
 
 
 class TestDepthViaIdentity:
@@ -364,6 +365,9 @@ class TestLadder:
                 depth_leq_via_identity(A, bad)
         assert "_d_ladder" not in vars(A)
         assert depth_leq_via_identity(A, -5) == depth_leq_via_identity(A, 0) == (False, (0,))
+        # a bool is an int
+        assert verify_main_theorem(A, True) == verify_main_theorem(A, 1)
+        assert depth_leq_via_identity(A, True) == depth_leq_via_identity(A, 1) == (False, (0, 1))
 
     def test_memo_leaves_equality_hash_and_repr(self):
         A, B = chain_algebra(5), chain_algebra(5)
@@ -518,6 +522,10 @@ class TestChainFromCounterexample:
     def test_n_must_be_an_int(self, n):
         with pytest.raises(RangeError, match="^n must be an int$"):
             chain_from_counterexample(chain_algebra(3), (0, 1, 2), n)
+        A = chain_algebra(3)
+        assert chain_from_counterexample(A, (0, 1, 2), True) == chain_from_counterexample(
+            A, (0, 1, 2), 1
+        )
 
     def test_negative_n_round_trip(self):
         # d_term(n) is x0 for every n <= 0, so n = -1 is the n = 0 case

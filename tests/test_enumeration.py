@@ -454,6 +454,8 @@ class TestEnumerateHilbert:
     def test_bad_size(self):
         with pytest.raises(RangeError):
             enumerate_hilbert(0)
+        # a bool is an int
+        assert enumerate_hilbert(True) == enumerate_hilbert(1)
 
     def test_size_not_an_int_refused_before_generation(self, refuse_generation):
         """2.5 and '3' once raised TypeError; like all_posets's k, a size

@@ -99,6 +99,10 @@ class TestIsImplicativeFilter:
     def test_mask_must_be_an_int(self, S):
         with pytest.raises(RangeError, match="^mask must be an int$"):
             is_implicative_filter(chain_algebra(3), S)
+        # a bool is an int
+        assert is_implicative_filter(chain_algebra(3), True) is is_implicative_filter(
+            chain_algebra(3), 1
+        )
 
 
 class TestFgClosure:
@@ -122,6 +126,7 @@ class TestFgClosure:
     def test_mask_must_be_an_int(self, X):
         with pytest.raises(RangeError, match="^mask must be an int$"):
             fg_closure(chain_algebra(8), X)
+        assert fg_closure(chain_algebra(8), True) == fg_closure(chain_algebra(8), 1)
 
     def test_same_as_the_definition(self, oracle_set):
         """fg_closure and is_implicative_filter, which fold the deduction
@@ -332,6 +337,7 @@ class TestSeparate:
             separate(chain_algebra(8), 1 << 8, a)
         with pytest.raises(RangeError, match="^mask must be an int$"):
             separate(chain_algebra(8), 2.5, 0)
+        assert separate(chain_algebra(8), 1 << 8, True) == separate(chain_algebra(8), 1 << 8, 1)
 
     @pytest.mark.parametrize(
         "F, a, message",
