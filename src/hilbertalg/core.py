@@ -184,11 +184,22 @@ class Imp(_Frozen):
 Term = Var | Imp
 
 
+def _postorder(t: Term) -> list:
+    """The nodes of t, each after its operands, left before right: the
+    reverse of a stack walk that takes each node before its right operand
+    and that before its left, so t may be of any depth."""
+    nodes, stack = [], [t]
+    while stack:
+        u = stack.pop()
+        nodes.append(u)
+        if isinstance(u, Imp):
+            stack += u.left, u.right
+    return nodes[::-1]
+
+
 def term_width(t: Term) -> int:
     """Number of variables (max index + 1) occurring in a term."""
-    if isinstance(t, Var):
-        return t.index + 1
-    return max(term_width(t.left), term_width(t.right))
+    return max(u.index for u in _postorder(t) if isinstance(u, Var)) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -388,39 +399,36 @@ def _check_assignment(A: FiniteHilbertAlgebra, assignment: Sequence[int]) -> Non
 def eval_term(A: FiniteHilbertAlgebra, t: Term, assignment: Sequence[int]) -> int:
     """The value of t when each x_i is assignment[i], an element of A."""
     _check_assignment(A, assignment)
-    return _eval(A.arrow, t, assignment)
-
-
-def _eval(arrow: tuple, t: Term, assignment: Sequence[int]) -> int:
-    if isinstance(t, Var):
-        if t.index >= len(assignment):
+    arrow, values = A.arrow, []
+    for u in _postorder(t):
+        if isinstance(u, Imp):
+            values[-2:] = [arrow[values[-2]][values[-1]]]
+        elif u.index < len(assignment):
+            values.append(assignment[u.index])
+        else:
             raise UnboundVariableError(
-                f"x{t.index} unbound in assignment of length {len(assignment)}"
+                f"x{u.index} unbound in assignment of length {len(assignment)}"
             )
-        return assignment[t.index]
-    return arrow[_eval(arrow, t.left, assignment)][_eval(arrow, t.right, assignment)]
+    return values[0]
 
 
 def _term_source(t: Term) -> str:
     """Source of `term(x0, ..., x{k-1})`, which evaluates t over a table
     named `arrow`.
 
-    Each Imp node becomes one assignment `tJ = arrow[l][r]`, so the body
-    does not nest however deep t is.  Only integers are spliced in: the
-    variable indices and the node counter.
+    Each Imp node, in _postorder's order, becomes one line `tJ = arrow[l][r]`,
+    so neither the body nor its building nests, however deep t is.  Only
+    integers are spliced in: the variable indices and the node counter.
     """
-    lines = []
-
-    def emit(u) -> str:
+    lines, names = [], []
+    for u in _postorder(t):
         if isinstance(u, Var):
-            return f"x{operator.index(u.index)}"
-        left, right = emit(u.left), emit(u.right)
-        lines.append(f"    t{len(lines)} = arrow[{left}][{right}]")
-        return f"t{len(lines) - 1}"
-
-    result = emit(t)
+            names.append(f"x{operator.index(u.index)}")
+        else:
+            lines.append(f"    t{len(lines)} = arrow[{names[-2]}][{names[-1]}]")
+            names[-2:] = [f"t{len(lines) - 1}"]
     params = ", ".join(f"x{i}" for i in range(term_width(t)))
-    return "\n".join([f"def term({params}):", *lines, f"    return {result}"])
+    return "\n".join([f"def term({params}):", *lines, f"    return {names[0]}"])
 
 
 def satisfies_identity(A: FiniteHilbertAlgebra, t: Term):

@@ -2,6 +2,7 @@ import ast
 import copy
 import dataclasses
 import enum
+import hashlib
 import importlib
 import itertools
 import pickle
@@ -40,13 +41,16 @@ from hilbertalg.core import (
     ValidationReport,
     _Frozen,
     _marks,
+    _term_source,
     iter_bits,
     mask_str,
+    term_width,
 )
 from hilbertalg.depth_terms import (
     ChainWitness,
     DepthReport,
     SubalgebraChainWitness,
+    _d_values,
     _ladder,
     chain_from_counterexample,
     depth_leq_via_identity,
@@ -276,8 +280,23 @@ class TestEvalTerm:
         assert eval_term(a2, d_term(1), [0, 0]) == 1
 
     def test_unbound_variable(self, a2):
-        with pytest.raises(UnboundVariableError):
-            eval_term(a2, Var(2), [0, 1])
+        """The first unbound variable reading left to right is named."""
+        for t, named in (
+            (Var(2), "x2"),
+            (Imp(Var(3), Imp(Var(1), Var(5))), "x3"),
+            (Imp(Imp(Var(0), Var(7)), Var(5)), "x7"),
+            (Imp(Var(1), Imp(Var(0), Var(4))), "x4"),
+        ):
+            message = f"^{named} unbound in assignment of length 2$"
+            with pytest.raises(UnboundVariableError, match=message):
+                eval_term(a2, t, [0, 1])
+
+    def test_terms_of_any_depth(self):
+        """A term is walked with a stack, not by recursion: both of these
+        raised RecursionError on a term 400 levels deep."""
+        A, t = chain_algebra(3), d_term(400)
+        assert term_width(t) == 401
+        assert eval_term(A, t, (0,) * 401) == _d_values(A, (0,) * 401, 400)[-1] == 3
 
     def test_entries_that_are_not_elements(self):
         """An entry outside the universe used to index the table from its
@@ -341,9 +360,38 @@ class TestSatisfiesIdentity:
             for t in terms:
                 assert satisfies_identity(A, t) == satisfies_identity_by_eval_term(A, t)
 
+    def test_term_source_unchanged(self):
+        """The compiled source of the terms of test_agrees_with_eval_term_scan
+        and of d_0..d_8 is the one the recursive emitter wrote, numbering
+        t0, t1, ... alike; the digest was taken from that emitter."""
+        x0, x1, x2 = Var(0), Var(1), Var(2)
+        terms = [
+            x0,
+            x2,
+            Imp(x1, x1),
+            Imp(x0, Imp(x1, x0)),
+            Imp(Imp(x0, Imp(x1, x2)), Imp(Imp(x0, x1), Imp(x0, x2))),
+            Imp(Imp(x0, x1), x0),
+            Imp(Imp(Imp(x0, x1), x0), x0),
+            d_term(3),
+        ] + [d_term(n) for n in range(9)]
+        text = "\n\n".join(map(_term_source, terms))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ab6f57fddb0d4c129aa86db85f6852c2e547f9e9a5471f97fdfdff73c9acb51d"
+        )
+        assert _term_source(d_term(1)) == (
+            "def term(x0, x1):\n"
+            "    t0 = arrow[x1][x0]\n"
+            "    t1 = arrow[t0][x1]\n"
+            "    t2 = arrow[t1][x1]\n"
+            "    return t2"
+        )
+
     def test_deep_term(self, trivial):
-        # compiled without nesting, so depth is bounded only by recursion
-        assert satisfies_identity(trivial, d_term(100)) == (True, None)
+        # compiled without nesting from a walk with a stack; d_400 raised
+        # RecursionError while the term was walked by recursion
+        for n in (100, 400):
+            assert satisfies_identity(trivial, d_term(n)) == (True, None)
 
 
 class TestGeneratedSubuniverse:
