@@ -175,6 +175,8 @@ class Imp(_Frozen):
     right: "Term"
 
     def __init__(self, left: "Term", right: "Term"):
+        if not (isinstance(left, Term) and isinstance(right, Term)):
+            raise RangeError("Imp operands must be terms")
         self.__dict__.update(left=left, right=right)
 
 
@@ -188,6 +190,8 @@ def _postorder(t: Term) -> list:
     """The nodes of t, each after its operands, left before right: the
     reverse of a stack walk that takes each node before its right operand
     and that before its left, so t may be of any depth."""
+    if not isinstance(t, Term):
+        raise RangeError("a term must be a Var or an Imp")
     nodes, stack = [], [t]
     while stack:
         u = stack.pop()

@@ -298,6 +298,25 @@ class TestEvalTerm:
         assert term_width(t) == 401
         assert eval_term(A, t, (0,) * 401) == _d_values(A, (0,) * 401, 400)[-1] == 3
 
+    def test_non_terms_refused(self):
+        """Each of these raised AttributeError, or built an Imp that was
+        no term."""
+        A = chain_algebra(3)
+        with pytest.raises(RangeError, match="^Imp operands must be terms$"):
+            eval_term(A, Imp(Var(0), 3), (0,))
+        with pytest.raises(RangeError, match="^Imp operands must be terms$"):
+            satisfies_identity(A, Imp(Var(0), "x"))
+        with pytest.raises(RangeError, match="^Imp operands must be terms$"):
+            Imp(None, Var(0))
+        with pytest.raises(RangeError, match="^Imp operands must be terms$"):
+            dataclasses.replace(Imp(Var(0), Var(1)), left=3)
+        with pytest.raises(RangeError, match="^a term must be a Var or an Imp$"):
+            eval_term(A, 3, (0,))
+        with pytest.raises(RangeError, match="^a term must be a Var or an Imp$"):
+            satisfies_identity(A, "x")
+        with pytest.raises(RangeError, match="^a term must be a Var or an Imp$"):
+            term_width(None)
+
     def test_entries_that_are_not_elements(self):
         """An entry outside the universe used to index the table from its
         end: x0 = -1 gave -1, and d_2 at (-1, -2, -3) gave the top."""
