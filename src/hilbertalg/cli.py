@@ -92,7 +92,7 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _print_report(A, report) -> None:
+def _print_report(report) -> None:
     for n, depth_leq, identity, agree in report.rows:
         cex = report.counterexamples.get(n)
         extra = f", counterexample {cex}" if cex is not None else ""
@@ -116,7 +116,7 @@ def cmd_verify(args) -> int:
             if not report.all_agree:
                 bad += 1
                 print(f"disagreement on table {A.arrow}:")
-                _print_report(A, report)
+                _print_report(report)
         if bad:
             print(f"{len(algebras)} algebras checked, {bad} disagree")
             return EXIT_DOMAIN
@@ -125,7 +125,7 @@ def cmd_verify(args) -> int:
     A = load_algebra(args.path)
     report = verify_main_theorem(A, nmax)
     print(f"depth {report.depth}")
-    _print_report(A, report)
+    _print_report(report)
     return EXIT_OK if report.all_agree else EXIT_DOMAIN
 
 

@@ -69,10 +69,6 @@ class Poset(_Frozen):
     leq: tuple  # tuple of row tuples of bool
 
     def __init__(self, size: int, leq):
-        self.__dict__.update(size=size, leq=leq)
-        self.__post_init__()
-
-    def __post_init__(self):
         """Store leq as row tuples, check it, and keep each point's up-set
         mask in __dict__ as _up, not a field, so ==, hash and repr do not
         see it.  Row a holds iff a <= a and each b >= a is not <= a unless
@@ -81,20 +77,18 @@ class Poset(_Frozen):
         (a, b, c) raises first.  A size that is not an int (a bool
         included) is refused first, then rows that cannot be read or have
         the wrong shape, then, in one pass, any entry that is not a bool."""
-        n = self.size
-        if isinstance(n, bool) or not isinstance(n, int):
+        if isinstance(size, bool) or not isinstance(size, int):
             raise RangeError("size must be an int")
-        shape = f"leq must have {n} rows of {n} entries"
+        shape = f"leq must have {size} rows of {size} entries"
         try:
-            leq = tuple(map(tuple, self.leq))
+            leq = tuple(map(tuple, leq))
         except TypeError:
             raise RangeError(shape) from None
-        self.__dict__["leq"] = leq
-        if len(leq) != n or any(len(row) != n for row in leq):
+        if len(leq) != size or any(len(row) != size for row in leq):
             raise RangeError(shape)
         if not set(map(type, chain.from_iterable(leq))) <= {bool}:
             raise RangeError("leq entries must be bools")
-        r = range(n)
+        r = range(size)
         up = [subset_of(compress(r, row)) for row in leq]
         for a in r:
             ua = up[a]
@@ -105,7 +99,7 @@ class Poset(_Frozen):
                     raise RangeError("leq is not antisymmetric")
                 if up[b] & ~ua:
                     raise RangeError("leq is not transitive")
-        self.__dict__["_up"] = up
+        self.__dict__.update(size=size, leq=leq, _up=up)
 
     def upset_mask(self, x: int) -> int:
         return self._up[x]
